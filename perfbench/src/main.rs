@@ -23,7 +23,7 @@ use drive::{runtime_phase, served_phase, traced_phase, Phase, Sample, Traced, ST
 use oscar_obs::Registry;
 use oscar_runtime::{mitigated_landscape, run_job, KeyClass, LandscapeCache, LandscapeStore};
 use oscar_serve::{result_checksum, spawn_unix, Client, Json, ServeConfig};
-use stats::{mean, median, ms, quantile};
+use stats::{blocked_quantile, mean, median, ms, quantile};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::{Command, ExitCode};
@@ -34,7 +34,13 @@ use workload::{set_up, spec, Prepared, System, Workload, CACHE_CAPACITY, MIN_JOB
 const OUT_DIR: &str = "perfbench/out";
 
 /// Set-ups per untraced run; `setup_s` is their median.
-const SETUP_REPS: usize = 3;
+const SETUP_REPS: usize = 7;
+
+/// Consecutive jobs per block of the p50 and p90 latency, which are
+/// block-wise quantiles ([`stats::blocked_quantile`]). A p90 block is
+/// large enough to put ten jobs beyond its p90.
+const P50_BLOCK: usize = 10;
+const P90_BLOCK: usize = 100;
 
 /// Stream positions whose results are re-run through `run_job` without
 /// a cache after the timed phase and compared bit for bit (the first
@@ -257,8 +263,18 @@ fn run_untraced(args: &Args, concurrency: usize, scratch: &Path) -> Report {
         n as f64 / phase.elapsed.as_secs_f64(),
         n,
     );
-    report.metric("latency_p50_ms", "ms", median(&latencies), n);
-    report.metric("latency_p90_ms", "ms", quantile(&latencies, 0.9), n);
+    report.metric(
+        "latency_p50_ms",
+        "ms",
+        blocked_quantile(&latencies, P50_BLOCK, 0.5),
+        n,
+    );
+    report.metric(
+        "latency_p90_ms",
+        "ms",
+        blocked_quantile(&latencies, P90_BLOCK, 0.9),
+        n,
+    );
     report.metric(
         "cpu_ms_per_job",
         "ms",

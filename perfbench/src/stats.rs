@@ -23,6 +23,30 @@ pub fn median(values: &[f64]) -> f64 {
     quantile(values, 0.5)
 }
 
+/// The `q`-quantile of `values` (in the order they were taken)
+/// estimated block by block: the mean, over consecutive blocks of
+/// `block` values (at least one block), of each block's `q`-quantile.
+///
+/// On a host whose cores switch between a fast and a slow state for
+/// seconds at a time, a latency sample is a mix of two levels, and a
+/// quantile of the whole sample jumps from one level to the other when
+/// the share of slow time crosses it. Each block's quantile follows the
+/// state of a few seconds, so their mean moves in proportion to the
+/// slow share.
+///
+/// # Panics
+///
+/// Panics if `values` is empty or `block` is 0.
+pub fn blocked_quantile(values: &[f64], block: usize, q: f64) -> f64 {
+    assert!(block > 0, "blocks of no values");
+    let n = values.len();
+    let blocks = (n / block).max(1);
+    let per_block: Vec<f64> = (0..blocks)
+        .map(|i| quantile(&values[i * n / blocks..(i + 1) * n / blocks], q))
+        .collect();
+    mean(&per_block)
+}
+
 /// Mean of `values` (0 for an empty sample).
 pub fn mean(values: &[f64]) -> f64 {
     if values.is_empty() {
@@ -113,6 +137,19 @@ mod tests {
         assert_eq!(quantile(&v, 0.25), 2.0);
         assert_eq!(quantile(&v, 0.9), 4.6);
         assert_eq!(quantile(&[7.0], 0.9), 7.0);
+    }
+
+    #[test]
+    fn blocked_quantile_averages_block_quantiles() {
+        // Two blocks of three: medians 2 and 20.
+        let v = [1.0, 2.0, 30.0, 10.0, 20.0, 40.0];
+        assert_eq!(blocked_quantile(&v, 3, 0.5), 11.0);
+        // Fewer values than a block: the quantile of the whole sample.
+        assert_eq!(blocked_quantile(&v, 10, 0.9), quantile(&v, 0.9));
+        // A remainder is spread over the blocks: 7 values, blocks of 3
+        // -> two blocks, [0..3) and [3..7).
+        let w = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0];
+        assert_eq!(blocked_quantile(&w, 3, 0.5), (2.0 + 5.5) / 2.0);
     }
 
     #[test]

@@ -41,6 +41,7 @@ pub mod interpolate;
 pub mod io;
 pub mod landscape;
 pub mod metrics;
+pub mod moments;
 pub mod reconstruct;
 pub mod reshape;
 pub mod reshape_nd;

@@ -5,9 +5,10 @@
 //! that reconstructions preserve the (dis)advantages of each mitigation
 //! configuration at a fraction of the circuit cost.
 
-use crate::grid::Grid2d;
+use crate::grid::{Grid2d, Shape};
 use crate::landscape::Landscape;
 use crate::metrics::LandscapeMetrics;
+use crate::moments::MomentsTable;
 use crate::reconstruct::Reconstructor;
 use oscar_executor::device::QpuDevice;
 use oscar_mitigation::zne::ZneConfig;
@@ -29,26 +30,6 @@ pub fn zne_factor_seed(landscape_seed: u64, scale: f64) -> u64 {
     } else {
         derive_seed(landscape_seed, scale.to_bits())
     }
-}
-
-/// Deterministic noise-scaled landscape: every grid point executes at
-/// ZNE noise scale `scale` with counter-based noise keyed by
-/// `(zne_factor_seed(landscape_seed, scale), point_index)`.
-///
-/// A pure function of `(device, grid, landscape_seed, scale)` —
-/// bit-identical across worker counts and evaluation orders, which is
-/// what lets the batch runtime cache one scale factor's landscape and
-/// share it between ZNE jobs.
-pub fn scaled_noisy_landscape(
-    device: &QpuDevice,
-    grid: Grid2d,
-    landscape_seed: u64,
-    scale: f64,
-) -> Landscape {
-    let seed = zne_factor_seed(landscape_seed, scale);
-    Landscape::generate_indexed_par(grid, |i, beta, gamma| {
-        device.execute_scaled_at(&[beta], &[gamma], scale, seed, i as u64)
-    })
 }
 
 /// Pointwise zero-noise extrapolation of per-factor landscapes: grid
@@ -116,19 +97,26 @@ impl ZneLandscapes {
     /// noise keyed by `landscape_seed`: the result is a pure function
     /// of `(device, grid, landscape_seed)`, bit-identical across runs,
     /// worker counts, and evaluation orders (the device's internal
-    /// order-dependent RNG stream is bypassed). The batch runtime's
-    /// ZNE stage computes exactly these per-factor landscapes
-    /// ([`scaled_noisy_landscape`]), so figures regenerated through
-    /// this path agree with runtime sweeps.
+    /// order-dependent RNG stream is bypassed).
+    ///
+    /// One moments pass ([`MomentsTable::qaoa`]) feeds the ideal
+    /// landscape and all three noise-scale factors. The batch runtime's
+    /// ZNE stage derives its per-factor landscapes the same way, so
+    /// figures regenerated through this path agree with runtime sweeps.
     pub fn generate_seeded(device: &QpuDevice, grid: Grid2d, landscape_seed: u64) -> Self {
         let richardson_cfg = ZneConfig::richardson_123();
         let linear_cfg = ZneConfig::linear_13();
-        let factor = |scale: f64| scaled_noisy_landscape(device, grid, landscape_seed, scale);
+        let table = MomentsTable::qaoa(
+            device.evaluator(),
+            Some(device.noise_step()),
+            Shape::Grid2d(grid),
+        );
+        let factor = |scale: f64| Landscape::from_values(grid, table.values(landscape_seed, scale));
         let (f1, f2, f3) = (factor(1.0), factor(2.0), factor(3.0));
         let richardson = extrapolated_landscape(&richardson_cfg, &[&f1, &f2, &f3]);
         let linear = extrapolated_landscape(&linear_cfg, &[&f1, &f3]);
         ZneLandscapes {
-            ideal: Landscape::from_qaoa(grid, device.evaluator()),
+            ideal: Landscape::from_values(grid, table.means()),
             unmitigated: f1,
             richardson,
             linear,
@@ -228,6 +216,43 @@ mod tests {
         );
     }
 
+    /// The reference for one factor landscape: each point executed on
+    /// the device at `scale`, with its own state-vector simulation.
+    fn per_point_factor(dev: &QpuDevice, grid: Grid2d, seed: u64, scale: f64) -> Landscape {
+        let factor_seed = zne_factor_seed(seed, scale);
+        Landscape::generate_indexed_par(grid, |i, b, g| {
+            dev.execute_scaled_at(&[b], &[g], scale, factor_seed, i as u64)
+        })
+    }
+
+    fn assert_bits_eq(a: &Landscape, b: &Landscape, what: &str) {
+        assert_eq!(a.grid(), b.grid(), "{what}");
+        for (i, (x, y)) in a.values().iter().zip(b.values()).enumerate() {
+            assert_eq!(x.to_bits(), y.to_bits(), "{what}: point {i}");
+        }
+    }
+
+    #[test]
+    fn seeded_generation_matches_per_factor_construction_bitwise() {
+        let grid = Grid2d::small_p1(7, 9);
+        for shots in [None, Some(256)] {
+            let dev = device(shots);
+            let set = ZneLandscapes::generate_seeded(&dev, grid, 11);
+            let (f1, f2, f3) = (
+                per_point_factor(&dev, grid, 11, 1.0),
+                per_point_factor(&dev, grid, 11, 2.0),
+                per_point_factor(&dev, grid, 11, 3.0),
+            );
+            let richardson = extrapolated_landscape(&ZneConfig::richardson_123(), &[&f1, &f2, &f3]);
+            let linear = extrapolated_landscape(&ZneConfig::linear_13(), &[&f1, &f3]);
+            let ideal = Landscape::from_qaoa(grid, dev.evaluator());
+            assert_bits_eq(&set.ideal, &ideal, "ideal");
+            assert_bits_eq(&set.unmitigated, &f1, "unmitigated");
+            assert_bits_eq(&set.richardson, &richardson, "richardson");
+            assert_bits_eq(&set.linear, &linear, "linear");
+        }
+    }
+
     #[test]
     fn seeded_generation_is_bit_stable_and_factor1_matches_unscaled() {
         let dev = device(Some(1024));
@@ -242,8 +267,10 @@ mod tests {
         assert_ne!(a.unmitigated.values(), c.unmitigated.values());
         // Factor 1.0 keeps the base seed: the unmitigated landscape is
         // exactly the scale-1 factor landscape.
-        let f1 = scaled_noisy_landscape(&dev, grid, 5, 1.0);
-        assert_eq!(a.unmitigated.values(), f1.values());
+        let unscaled = Landscape::generate_indexed_par(grid, |i, b, g| {
+            dev.execute_at(&[b], &[g], 5, i as u64)
+        });
+        assert_bits_eq(&a.unmitigated, &unscaled, "factor 1");
         // Other factors draw fresh noise rather than replaying seed 5.
         assert_eq!(zne_factor_seed(5, 1.0), 5);
         assert_ne!(zne_factor_seed(5, 2.0), 5);
@@ -258,7 +285,7 @@ mod tests {
         let subs: Vec<Landscape> = zne
             .scale_factors
             .iter()
-            .map(|&c| scaled_noisy_landscape(&dev, grid, 3, c))
+            .map(|&c| per_point_factor(&dev, grid, 3, c))
             .collect();
         let refs: Vec<&Landscape> = subs.iter().collect();
         let combined = extrapolated_landscape(&zne, &refs);

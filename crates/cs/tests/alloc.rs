@@ -15,25 +15,43 @@ use oscar_cs::workspace::Workspace;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 struct CountingAlloc;
 
+/// Every allocation in the process: only meaningful while the caller
+/// holds [`serial`], which keeps this binary's other tests from running.
 static ALLOC_CALLS: AtomicUsize = AtomicUsize::new(0);
 
+thread_local! {
+    /// Allocations made by the current thread. A test's single-threaded
+    /// window reads its own count, untouched by tests running beside it.
+    static THREAD_ALLOC_CALLS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+    // `try_with`: a thread being torn down may still allocate after its
+    // thread-locals are gone.
+    let _ = THREAD_ALLOC_CALLS.try_with(|n| n.set(n.get() + 1));
+}
+
 // SAFETY: pure delegation to `System`, which upholds the GlobalAlloc
-// contract; the counter bump is a Relaxed side effect with no bearing
-// on allocation soundness.
+// contract; the counter bumps are side effects with no bearing on
+// allocation soundness (the thread-local is a const-initialized `Cell`,
+// so touching it never allocates).
 unsafe impl GlobalAlloc for CountingAlloc {
     // SAFETY: forwards the caller's layout contract to `System` unchanged.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.alloc(layout) }
     }
 
     // SAFETY: forwards the caller's pointer/layout contract to `System`.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
@@ -46,8 +64,18 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Allocations made by the calling thread so far.
 fn alloc_count() -> usize {
-    ALLOC_CALLS.load(Ordering::Relaxed)
+    THREAD_ALLOC_CALLS.with(Cell::get)
+}
+
+/// Runs the tests of this binary one at a time. Every test holds it for
+/// its whole body, so a window over the process-wide counter (which a
+/// multi-worker apply needs, its allocations happen on pool threads)
+/// sees no sibling test's allocations.
+fn serial() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// A 64x64 problem with a handful of DCT spikes, sampled at 25%.
@@ -73,6 +101,7 @@ fn setup() -> (Dct2d, SamplePattern, Vec<f64>) {
 
 #[test]
 fn warmed_fista_solve_is_allocation_free_modulo_result() {
+    let _serial = serial();
     // Pin the parallel helpers to one worker: thread spawning allocates,
     // and the audit is about the solver itself. (First use caches it.)
     std::env::set_var("OSCAR_THREADS", "1");
@@ -108,6 +137,7 @@ fn warmed_fista_solve_is_allocation_free_modulo_result() {
 
 #[test]
 fn warmed_fista_solve_on_mixed_radix_grid_is_allocation_free() {
+    let _serial = serial();
     // The paper's p=1 grid: both sides are non-power-of-two and
     // 2·3·5-smooth, so this pins that the mixed-radix kernel's scratch
     // (Stockham ping-pong buffer, gather block) is fully threaded
@@ -151,7 +181,9 @@ fn warmed_multiworker_parallel_apply_allocates_zero_words() {
     // a steady-state *multi-worker* parallel apply allocates nothing at
     // all — not "a few words for the queue push", zero. An explicit
     // 4-worker pool sidesteps the OSCAR_THREADS=1 pin the other tests
-    // need for the global helpers.
+    // need for the global helpers. The pool's workers allocate on their
+    // own threads, so this window reads the process-wide counter.
+    let _serial = serial();
     let pool = oscar_par::pool::WorkerPool::with_threads(4);
     let mut v = vec![0.0f64; 1 << 16];
     // Warm-up: spawns the workers (which allocates) and settles the
@@ -165,18 +197,18 @@ fn warmed_multiworker_parallel_apply_allocates_zero_words() {
     }
     assert_eq!(pool.stats().threads_spawned, 3);
 
-    // Other tests in this binary run concurrently and share the global
-    // counter, so take the minimum over many short attempts: the apply
+    // The test harness's own threads can still allocate during a
+    // window, so take the minimum over many short attempts: the apply
     // itself allocating would show in *every* window.
     let min_during = (0..50)
         .map(|_| {
-            let before = alloc_count();
+            let before = ALLOC_CALLS.load(Ordering::Relaxed);
             pool.for_each_chunk_mut(&mut v, 256, |_, chunk| {
                 for x in chunk.iter_mut() {
                     *x *= 1.0000001;
                 }
             });
-            alloc_count() - before
+            ALLOC_CALLS.load(Ordering::Relaxed) - before
         })
         .min()
         .unwrap();
@@ -188,6 +220,7 @@ fn warmed_multiworker_parallel_apply_allocates_zero_words() {
 
 #[test]
 fn warmed_ista_solve_is_allocation_free_modulo_result() {
+    let _serial = serial();
     std::env::set_var("OSCAR_THREADS", "1");
     let (dct, pattern, y) = setup();
     let op = MeasurementOperator::new(&dct, &pattern);
@@ -211,6 +244,7 @@ fn warmed_ista_solve_is_allocation_free_modulo_result() {
 
 #[test]
 fn workspace_reuse_across_patterns_stays_quiet_once_sized() {
+    let _serial = serial();
     std::env::set_var("OSCAR_THREADS", "1");
     let (dct, _, _) = setup();
     let cfg = FistaConfig {

@@ -166,6 +166,35 @@ impl DeviceSpec {
     }
 }
 
+/// The noise half of a device execution, shared by every execution
+/// path: it maps a point's ideal moments `(mean, var)` to the device's
+/// noisy finite-shot estimate at a ZNE noise scale.
+///
+/// Every execution is `moments` then `apply`, and only `moments`
+/// touches the state vector. So one moments pass over a landscape
+/// feeds every noise scale, seed and stream of the same device: the
+/// result is bit-identical to executing each point at each scale.
+#[derive(Clone, Copy, Debug)]
+pub struct NoiseStep {
+    noise: NoiseModel,
+    /// The observable's mean under the maximally mixed state (the
+    /// depolarizing fixed point).
+    mixed: f64,
+    counts: GateCounts,
+}
+
+impl NoiseStep {
+    /// The noisy estimate for ideal `moments` with the depolarizing
+    /// rates amplified by `scale` (gate folding), drawing any shot noise
+    /// from `rng`.
+    pub fn apply<R: Rng + ?Sized>(&self, moments: (f64, f64), scale: f64, rng: &mut R) -> f64 {
+        let (ideal, var) = moments;
+        self.noise
+            .scaled(scale)
+            .noisy_expectation(ideal, var, self.mixed, self.counts, rng)
+    }
+}
+
 /// A simulated quantum processing unit executing QAOA circuits.
 ///
 /// Thread-safe: `execute` may be called concurrently from the parallel
@@ -189,10 +218,9 @@ impl DeviceSpec {
 #[derive(Debug)]
 pub struct QpuDevice {
     name: String,
-    noise: NoiseModel,
+    step: NoiseStep,
     latency: LatencyModel,
     evaluator: QaoaEvaluator,
-    counts: GateCounts,
     rng: Mutex<StdRng>,
 }
 
@@ -210,13 +238,16 @@ impl QpuDevice {
         latency: LatencyModel,
         seed: u64,
     ) -> Self {
-        let counts = Ansatz::qaoa(problem, p).circuit().gate_counts();
+        let evaluator = problem.qaoa_evaluator();
         QpuDevice {
             name: name.to_string(),
-            noise,
+            step: NoiseStep {
+                noise,
+                mixed: evaluator.diagonal_mean(),
+                counts: Ansatz::qaoa(problem, p).circuit().gate_counts(),
+            },
             latency,
-            evaluator: problem.qaoa_evaluator(),
-            counts,
+            evaluator,
             rng: Mutex::new(StdRng::seed_from_u64(seed)),
         }
     }
@@ -228,7 +259,7 @@ impl QpuDevice {
 
     /// This device's noise configuration.
     pub fn noise(&self) -> &NoiseModel {
-        &self.noise
+        &self.step.noise
     }
 
     /// This device's latency model.
@@ -238,12 +269,25 @@ impl QpuDevice {
 
     /// Physical gate counts of the transpiled circuit.
     pub fn gate_counts(&self) -> GateCounts {
-        self.counts
+        self.step.counts
     }
 
     /// The underlying ideal evaluator (e.g. for ground-truth landscapes).
     pub fn evaluator(&self) -> &QaoaEvaluator {
         &self.evaluator
+    }
+
+    /// The ideal state-vector moments `(<C>, Var[C])` at the given
+    /// angles: the expensive half of every execution, independent of
+    /// noise scale, seed and stream.
+    pub fn moments(&self, betas: &[f64], gammas: &[f64]) -> (f64, f64) {
+        self.evaluator.moments(betas, gammas)
+    }
+
+    /// The cheap half of every execution: this device's noise applied
+    /// to ideal moments (see [`NoiseStep`]).
+    pub fn noise_step(&self) -> NoiseStep {
+        self.step
     }
 
     /// Executes the QAOA circuit at the given angles, returning the noisy
@@ -255,11 +299,8 @@ impl QpuDevice {
     /// Executes with the noise amplified by `scale` (ZNE noise scaling via
     /// gate folding: the folded circuit has `scale`x the gates).
     pub fn execute_scaled(&self, betas: &[f64], gammas: &[f64], scale: f64) -> f64 {
-        let (ideal, var) = self.evaluator.moments(betas, gammas);
-        let mixed = self.evaluator.diagonal_mean();
-        let scaled = self.noise.scaled(scale);
-        let mut rng = self.lock_rng();
-        scaled.noisy_expectation(ideal, var, mixed, self.counts, &mut *rng)
+        let moments = self.moments(betas, gammas);
+        self.step.apply(moments, scale, &mut *self.lock_rng())
     }
 
     /// Executes with noise drawn from a caller-provided generator instead
@@ -277,10 +318,7 @@ impl QpuDevice {
         gammas: &[f64],
         rng: &mut R,
     ) -> f64 {
-        let (ideal, var) = self.evaluator.moments(betas, gammas);
-        let mixed = self.evaluator.diagonal_mean();
-        self.noise
-            .noisy_expectation(ideal, var, mixed, self.counts, rng)
+        self.execute_scaled_with_rng(betas, gammas, 1.0, rng)
     }
 
     /// Deterministic noisy execution: noise is drawn from a
@@ -305,11 +343,7 @@ impl QpuDevice {
         scale: f64,
         rng: &mut R,
     ) -> f64 {
-        let (ideal, var) = self.evaluator.moments(betas, gammas);
-        let mixed = self.evaluator.diagonal_mean();
-        self.noise
-            .scaled(scale)
-            .noisy_expectation(ideal, var, mixed, self.counts, rng)
+        self.step.apply(self.moments(betas, gammas), scale, rng)
     }
 
     /// Deterministic noise-scaled execution: [`Self::execute_at`] at ZNE
@@ -373,24 +407,22 @@ impl QpuDevice {
 #[derive(Debug)]
 pub struct VqeDevice {
     name: String,
-    noise: NoiseModel,
+    step: NoiseStep,
     evaluator: VqeEvaluator,
-    counts: GateCounts,
-    mixed: f64,
 }
 
 impl VqeDevice {
     /// Builds a device for a molecule's reference UCCSD-style ansatz.
     pub fn new(name: &str, molecule: Molecule, noise: NoiseModel) -> Self {
         let evaluator = VqeEvaluator::new(molecule);
-        let counts = evaluator.ansatz().circuit().gate_counts();
-        let mixed = evaluator.hamiltonian().constant();
         VqeDevice {
             name: name.to_string(),
-            noise,
+            step: NoiseStep {
+                noise,
+                mixed: evaluator.hamiltonian().constant(),
+                counts: evaluator.ansatz().circuit().gate_counts(),
+            },
             evaluator,
-            counts,
-            mixed,
         }
     }
 
@@ -401,17 +433,28 @@ impl VqeDevice {
 
     /// This device's noise configuration.
     pub fn noise(&self) -> &NoiseModel {
-        &self.noise
+        &self.step.noise
     }
 
     /// Physical gate counts of the transpiled ansatz circuit.
     pub fn gate_counts(&self) -> GateCounts {
-        self.counts
+        self.step.counts
     }
 
     /// The underlying ideal evaluator (e.g. for ground-truth landscapes).
     pub fn evaluator(&self) -> &VqeEvaluator {
         &self.evaluator
+    }
+
+    /// The ideal statevector moments `(<H>, Var[H])` at `params` — the
+    /// VQE analogue of [`QpuDevice::moments`].
+    pub fn moments(&self, params: &[f64]) -> (f64, f64) {
+        self.evaluator.moments(params)
+    }
+
+    /// This device's noise applied to ideal moments (see [`NoiseStep`]).
+    pub fn noise_step(&self) -> NoiseStep {
+        self.step
     }
 
     /// Noise-scaled execution with a caller-provided generator — the
@@ -422,10 +465,7 @@ impl VqeDevice {
         scale: f64,
         rng: &mut R,
     ) -> f64 {
-        let (ideal, var) = self.evaluator.moments(params);
-        self.noise
-            .scaled(scale)
-            .noisy_expectation(ideal, var, self.mixed, self.counts, rng)
+        self.step.apply(self.moments(params), scale, rng)
     }
 
     /// Deterministic noisy execution keyed by `(seed, stream)`: the VQE

@@ -9,26 +9,38 @@
 use oscar_obs::span::{with_stage, Stage, Tracer};
 use oscar_obs::Registry;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 use std::time::{Duration, Instant};
 
 struct CountingAlloc;
 
-static ALLOC_CALLS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    /// Allocations made by the current thread: every measured closure
+    /// runs on the test's own thread, so tests running beside it cannot
+    /// touch its count.
+    static ALLOC_CALLS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // `try_with`: a thread being torn down may still allocate after its
+    // thread-locals are gone.
+    let _ = ALLOC_CALLS.try_with(|n| n.set(n.get() + 1));
+}
 
 // SAFETY: pure delegation to `System`, which upholds the GlobalAlloc
-// contract; the counter bump is a Relaxed side effect with no bearing
-// on allocation soundness.
+// contract; the counter bump is a side effect with no bearing on
+// allocation soundness (the thread-local is a const-initialized `Cell`,
+// so touching it never allocates).
 unsafe impl GlobalAlloc for CountingAlloc {
     // SAFETY: forwards the caller's layout contract to `System` unchanged.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.alloc(layout) }
     }
 
     // SAFETY: forwards the caller's pointer/layout contract to `System`.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
@@ -41,10 +53,11 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Allocations `f` makes on the calling thread.
 fn allocations(f: impl FnOnce()) -> usize {
-    let before = ALLOC_CALLS.load(Ordering::Relaxed);
+    let before = ALLOC_CALLS.with(Cell::get);
     f();
-    ALLOC_CALLS.load(Ordering::Relaxed) - before
+    ALLOC_CALLS.with(Cell::get) - before
 }
 
 /// Counter/gauge/histogram recording through resolved handles is

@@ -44,7 +44,8 @@
 //! simulated device whose per-point noise comes from a counter-based
 //! RNG keyed by `(landscape_seed, point_index)`. The spec's
 //! [`mitigation::Mitigation`] then post-processes the landscape (ZNE
-//! with individually cached per-factor landscapes, readout inversion,
+//! with individually cached per-factor landscapes derived from one
+//! moments pass, readout inversion,
 //! Gaussian smoothing), and [`descent::Descent`] selects the stage-3
 //! optimizer (the full `oscar-optim` lineup, SPSA seeded from the job
 //! seed). Results are deterministic along every axis: a

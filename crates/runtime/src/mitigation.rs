@@ -7,9 +7,11 @@
 //! first-class, deterministic axis of a [`crate::job::JobSpec`]:
 //!
 //! * [`Mitigation::Zne`] measures the landscape at every noise-scale
-//!   factor (each factor a full deterministic landscape with its own
-//!   derived noise seed, individually cached and shared across jobs)
-//!   and extrapolates pointwise to zero noise;
+//!   factor and extrapolates pointwise to zero noise. Each factor is a
+//!   deterministic landscape with its own derived noise seed,
+//!   individually cached and shared across jobs; the factors a job
+//!   misses share one moments pass ([`LandscapeSource::moments`]), so
+//!   the circuit is simulated once per point, not once per factor;
 //! * [`Mitigation::Readout`] inverts the analytic readout damping per
 //!   point using the device's calibrated rates;
 //! * [`Mitigation::Gaussian`] smooths the landscape with a
@@ -48,6 +50,7 @@ use oscar_obs::span::{with_stage, Stage};
 use oscar_problems::workload::ProblemInstance;
 use oscar_qsim::fingerprint::{tag, Fingerprint};
 use oscar_qsim::noise::ReadoutError;
+use std::cell::OnceCell;
 use std::sync::Arc;
 
 /// How (and whether) a job mitigates its stage-1 landscape.
@@ -282,6 +285,10 @@ fn apply_mitigation(
             extrapolator,
         } => {
             let zne = ZneConfig::new(factors.clone(), *extrapolator);
+            // Every factor is the same ideal moments under a different
+            // noise scale: the first factor that misses the cache runs
+            // the one moments pass, the rest reuse it.
+            let table = OnceCell::new();
             let subs: Vec<Arc<ShapedLandscape>> = zne
                 .scale_factors
                 .iter()
@@ -290,7 +297,9 @@ fn apply_mitigation(
                         LandscapeKey::zne_factor(problem, shape, source, landscape_seed, scale);
                     let gen = || {
                         with_stage(Stage::LandscapeGen, || {
-                            source.generate_scaled(problem, shape, landscape_seed, scale)
+                            table
+                                .get_or_init(|| source.moments(problem, shape))
+                                .landscape(landscape_seed, scale)
                         })
                     };
                     match cache {

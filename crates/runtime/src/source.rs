@@ -4,8 +4,10 @@
 //! The paper's central workload reconstructs *noisy* VQA landscapes
 //! from sparse device executions; [`LandscapeSource`] is the runtime's
 //! switch between the exact noiseless evaluator and a device-backed
-//! noisy evaluation ([`QpuDevice`] for QAOA, [`VqeDevice`] for
-//! molecules). Noisy landscapes are **deterministic under
+//! noisy evaluation ([`oscar_executor::device::QpuDevice`] for QAOA,
+//! [`oscar_executor::device::VqeDevice`] for molecules). Every
+//! landscape is one moments pass ([`LandscapeSource::moments`]) then a
+//! pointwise noise step. Noisy landscapes are **deterministic under
 //! concurrency**: every grid point draws its noise from a
 //! counter-based RNG keyed by `(landscape_seed, point_index)`
 //! ([`oscar_qsim::rng::CounterRng`]) with the flat row-major index as
@@ -17,9 +19,9 @@
 //! execution-order-dependent and is not used here.)
 
 use oscar_core::grid::Shape;
-use oscar_core::landscape::{Landscape, NdLandscape, ShapedLandscape};
-use oscar_core::usecases::mitigation::{scaled_noisy_landscape, zne_factor_seed};
-use oscar_executor::device::{DeviceSpec, QpuDevice, VqeDevice};
+use oscar_core::landscape::ShapedLandscape;
+use oscar_core::moments::MomentsTable;
+use oscar_executor::device::DeviceSpec;
 use oscar_problems::workload::{ProblemInstance, VqeEvaluator};
 use oscar_qsim::fingerprint::{tag, Fingerprint};
 
@@ -149,6 +151,10 @@ impl LandscapeSource {
     /// `scale = 1.0` this is bit-identical to [`Self::generate`]; the
     /// exact source ignores the scale entirely.
     ///
+    /// The composition of the two stages every landscape goes through:
+    /// [`Self::moments`], then [`MomentsTable::landscape`]. Callers that
+    /// need several scales of one landscape build the table once.
+    ///
     /// # Panics
     ///
     /// See [`Self::generate`].
@@ -159,74 +165,68 @@ impl LandscapeSource {
         landscape_seed: u64,
         scale: f64,
     ) -> ShapedLandscape {
+        self.moments(problem, shape)
+            .landscape(landscape_seed, scale)
+    }
+
+    /// The ideal moments of `problem` at every point of `shape`, with
+    /// this source's noise step attached: one parallel state-vector pass
+    /// from which [`MomentsTable::landscape`] derives the landscape at
+    /// any `(landscape_seed, scale)`.
+    ///
+    /// Noisy QAOA executes at the problem's depth (a 2-D grid is depth
+    /// 1 and keeps the device spec's own depth for gate counts); a
+    /// molecule executes its reference ansatz.
+    ///
+    /// # Panics
+    ///
+    /// See [`Self::generate`].
+    pub fn moments(&self, problem: &ProblemInstance, shape: &Shape) -> MomentsTable {
         assert_eq!(
             shape.rank(),
             problem.num_params(),
             "shape rank must match the problem's parameter count"
         );
+        let shape = shape.clone();
         match problem {
-            ProblemInstance::Ising { problem, depth } => match shape {
-                Shape::Grid2d(grid) => {
-                    assert_eq!(*depth, 1, "a 2-D grid is a depth-1 QAOA landscape");
-                    match self.effective_device() {
-                        None => Landscape::from_qaoa(*grid, &problem.qaoa_evaluator()).into(),
-                        Some(spec) => {
-                            // The internal-RNG seed is irrelevant: every
-                            // point draws from its own counter stream
-                            // keyed by the (derived) landscape seed and
-                            // the flat point index.
-                            let qpu = spec.build(problem, 0);
-                            scaled_noisy_landscape(&qpu, *grid, landscape_seed, scale).into()
-                        }
+            ProblemInstance::Ising { problem, depth } => {
+                let device = match &shape {
+                    Shape::Grid2d(_) => {
+                        assert_eq!(*depth, 1, "a 2-D grid is a depth-1 QAOA landscape");
+                        self.effective_device()
                     }
-                }
-                Shape::Tensor(tensor) => {
-                    let p = *depth;
-                    match self.effective_device() {
-                        None => {
-                            let eval = problem.qaoa_evaluator();
-                            NdLandscape::generate_indexed_par(tensor.clone(), |_, params| {
-                                eval.expectation(&params[..p], &params[p..])
-                            })
-                            .into()
-                        }
-                        Some(spec) => {
-                            let qpu: QpuDevice = spec.with_depth(p).build(problem, 0);
-                            let seed = zne_factor_seed(landscape_seed, scale);
-                            NdLandscape::generate_indexed_par(tensor.clone(), |i, params| {
-                                qpu.execute_scaled_at(
-                                    &params[..p],
-                                    &params[p..],
-                                    scale,
-                                    seed,
-                                    i as u64,
-                                )
-                            })
-                            .into()
-                        }
-                    }
-                }
-            },
-            ProblemInstance::Molecule(molecule) => {
-                let Shape::Tensor(tensor) = shape else {
-                    // lint:allow(no-panic): molecule specs are only built with tensor shapes (default_vqe_shape / Shape::vqe_scan, enforced at the wire by proto validation); a grid-shaped molecule is a caller bug, and the evaluator would reject the parameter-count mismatch anyway.
-                    panic!("molecular VQE landscapes are tensor-shaped");
+                    Shape::Tensor(_) => self.effective_device().map(|d| d.with_depth(*depth)),
                 };
+                match device {
+                    None => MomentsTable::qaoa(&problem.qaoa_evaluator(), None, shape),
+                    Some(spec) => {
+                        // The internal-RNG seed is irrelevant: every point
+                        // draws from its own counter stream keyed by the
+                        // (derived) landscape seed and the flat point index.
+                        let qpu = spec.build(problem, 0);
+                        MomentsTable::qaoa(qpu.evaluator(), Some(qpu.noise_step()), shape)
+                    }
+                }
+            }
+            ProblemInstance::Molecule(molecule) => {
+                assert!(
+                    matches!(shape, Shape::Tensor(_)),
+                    "molecular VQE landscapes are tensor-shaped"
+                );
                 match self.effective_device() {
                     None => {
+                        // An exact table is read for its means only, so
+                        // it skips the variance the noise step needs.
                         let eval = VqeEvaluator::new(*molecule);
-                        NdLandscape::generate_indexed_par(tensor.clone(), |_, params| {
-                            eval.expectation(params)
+                        MomentsTable::generate(shape, None, |params| {
+                            (eval.expectation(params), 0.0)
                         })
-                        .into()
                     }
                     Some(spec) => {
-                        let dev: VqeDevice = spec.build_vqe(*molecule);
-                        let seed = zne_factor_seed(landscape_seed, scale);
-                        NdLandscape::generate_indexed_par(tensor.clone(), |i, params| {
-                            dev.execute_scaled_at(params, scale, seed, i as u64)
+                        let dev = spec.build_vqe(*molecule);
+                        MomentsTable::generate(shape, Some(dev.noise_step()), |params| {
+                            dev.moments(params)
                         })
-                        .into()
                     }
                 }
             }

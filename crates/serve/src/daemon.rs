@@ -161,18 +161,39 @@ impl JobEntry {
     /// Non-blocking settle attempt: fetches a finished result (or a
     /// terminal loss) out of the handle if one is ready.
     fn try_settle(&self, state: &ServerState) {
+        self.poll_settle(state, Duration::ZERO);
+    }
+
+    /// Waits up to `timeout` for the job and settles it if it finished;
+    /// returns whether the job is settled.
+    ///
+    /// The poll and the settle happen under one hold of the handle
+    /// lock. A poll takes the result out of the handle, so a second
+    /// poller that ran between the two would find the channel empty,
+    /// settle the job as lost first, and the result would be dropped.
+    fn poll_settle(&self, state: &ServerState, timeout: Duration) -> bool {
+        let handle = lock(&self.handle);
         if self.settled.load(Ordering::Acquire) {
-            return;
+            return true;
         }
-        let poll = {
-            let handle = lock(&self.handle);
-            handle.wait_timeout(Duration::ZERO)
-        };
-        match poll {
+        match handle.wait_timeout(timeout) {
             Ok(Some(result)) => self.settle(state, Outcome::Done(Box::new(result))),
-            Ok(None) => {}
+            Ok(None) => return false,
             Err(lost) => self.settle(state, Outcome::from_lost(&lost)),
         }
+        true
+    }
+
+    /// Cancels the job if it is still queued and settles it as
+    /// cancelled, under the handle lock like [`Self::poll_settle`].
+    /// Returns whether the cancel won.
+    fn cancel(&self, state: &ServerState) -> bool {
+        let handle = lock(&self.handle);
+        let won = !self.settled.load(Ordering::Acquire) && handle.cancel();
+        if won {
+            self.settle(state, Outcome::Cancelled);
+        }
+        won
     }
 
     /// The wire status string.
@@ -387,15 +408,7 @@ impl ServerState {
         let Some(entry) = self.entry(id) else {
             return unknown_job(id);
         };
-        let cancelled = if entry.settled.load(Ordering::Acquire) {
-            false
-        } else {
-            let won = lock(&entry.handle).cancel();
-            if won {
-                entry.settle(self, Outcome::Cancelled);
-            }
-            won
-        };
+        let cancelled = entry.cancel(self);
         Json::Obj(vec![
             ("ok".to_string(), Json::Bool(true)),
             ("job".to_string(), Json::Num(id as f64)),
@@ -430,23 +443,13 @@ impl ServerState {
             // Short chunks so the handle mutex is released often
             // (cancels interleave) and shutdown is noticed promptly.
             let chunk = remaining.min(self.config.tick * 2);
-            let poll = {
-                let handle = lock(&entry.handle);
-                handle.wait_timeout(chunk)
-            };
-            match poll {
-                Ok(Some(result)) => entry.settle(self, Outcome::Done(Box::new(result))),
-                Err(lost) => entry.settle(self, Outcome::from_lost(&lost)),
-                Ok(None) => {
-                    if remaining.is_zero() {
-                        return Json::Obj(vec![
-                            ("ok".to_string(), Json::Bool(true)),
-                            ("job".to_string(), Json::Num(id as f64)),
-                            ("status".to_string(), Json::Str(entry.status_str().into())),
-                            ("timed_out".to_string(), Json::Bool(true)),
-                        ]);
-                    }
-                }
+            if !entry.poll_settle(self, chunk) && remaining.is_zero() {
+                return Json::Obj(vec![
+                    ("ok".to_string(), Json::Bool(true)),
+                    ("job".to_string(), Json::Num(id as f64)),
+                    ("status".to_string(), Json::Str(entry.status_str().into())),
+                    ("timed_out".to_string(), Json::Bool(true)),
+                ]);
             }
         }
     }
@@ -914,8 +917,7 @@ fn connection_loop(mut conn: Conn, state: &Arc<ServerState>) {
     if !clean_shutdown && !state.is_draining() {
         for id in submitted {
             if let Some(entry) = state.entry(id) {
-                if !entry.settled.load(Ordering::Acquire) && lock(&entry.handle).cancel() {
-                    entry.settle(state, Outcome::Cancelled);
+                if entry.cancel(state) {
                     state.disconnect_cancelled.fetch_add(1, Ordering::Relaxed);
                 }
             }

@@ -531,3 +531,52 @@ fn registry_eviction_bounds_memory_and_forgets_oldest_settled() {
     });
     drop(daemon);
 }
+
+#[test]
+fn concurrent_waits_and_fast_ticks_never_lose_a_result() {
+    // A poll takes a finished result out of its job handle. The 1 ms
+    // tick and two `wait`s per job all poll the same handles, so a
+    // result taken by one poller must be stored before any other poller
+    // can look: otherwise the other finds the channel empty and settles
+    // a finished job as lost.
+    let path = sock("settle-race");
+    let config = ServeConfig {
+        concurrency: 2,
+        tick: Duration::from_millis(1),
+        ..ServeConfig::default()
+    };
+    let daemon = spawn_unix(&path, config).expect("spawn");
+    std::thread::scope(|scope| {
+        for worker in 0..4u64 {
+            let path = &path;
+            scope.spawn(move || {
+                let mut submitter = Client::connect_unix(path).expect("connect");
+                let mut watcher = Client::connect_unix(path).expect("connect");
+                for k in 0..30 {
+                    let id = submit_ok(
+                        &mut submitter,
+                        &SubmitReq::new(4, worker * 100 + k, 4, 5, 0.5),
+                    );
+                    let (a, b) = std::thread::scope(|inner| {
+                        let other =
+                            inner.spawn(|| watcher.wait(id, Some(30_000), false).expect("wait io"));
+                        let mine = submitter.wait(id, Some(30_000), false).expect("wait io");
+                        (mine, other.join().expect("watcher"))
+                    });
+                    for reply in [a, b] {
+                        assert!(
+                            is_ok(&reply),
+                            "job {id} lost its result: {}",
+                            reply.to_string_compact()
+                        );
+                    }
+                }
+            });
+        }
+    });
+    let mut client = Client::connect_unix(&path).expect("connect");
+    let stats = client.stats().expect("stats io");
+    assert_eq!(stats.get("completed").and_then(Json::as_u64), Some(120));
+    assert_eq!(stats.get("failed").and_then(Json::as_u64), Some(0));
+    drop(daemon);
+}

@@ -1,12 +1,13 @@
 //! `oscar-batch` — drive the batch runtime end to end.
 //!
-//! Reads a job list (or synthesizes one), runs every job through the
-//! full pipeline (landscape sampling → mitigation → CS reconstruction →
-//! optimization) on the [`oscar_runtime::BatchRuntime`], and reports
-//! per-job latency plus aggregate throughput. With `--device` the
-//! stage-1 landscapes come from a noisy simulated device instead of
-//! exact simulation, `--mitigation` post-processes them (ZNE landscapes
-//! per noise factor, readout inversion, Gaussian smoothing), and
+//! Builds a batch of jobs (from a job list, synthesized, or swept),
+//! runs every job through the full pipeline (landscape sampling →
+//! mitigation → CS reconstruction → optimization) on the
+//! [`oscar_runtime::BatchRuntime`], and reports per-job latency, result
+//! checksum and aggregate throughput. With `--device` the stage-1
+//! landscapes come from a noisy simulated device instead of exact
+//! simulation, `--mitigation` post-processes them (ZNE landscapes per
+//! noise factor, readout inversion, Gaussian smoothing), and
 //! `--optimizer` selects the stage-3 descent — all deterministically,
 //! so `--compare` still verifies the scheduled batch bit-identical to
 //! an uncached sequential run.
@@ -20,15 +21,22 @@
 //! kind, and the report becomes a paper-style table (Table 5 /
 //! Figure 10 shape) with one row per combination.
 //!
-//! With `--connect ADDR` the batch is not run in-process at all:
-//! every job is submitted to a running `oscar-serve` daemon (Unix
-//! socket path or `host:port`) over the line-delimited JSON protocol,
-//! admission rejects are retried after the server's `retry_after_ms`
-//! hint, and `--compare` verifies each served checksum against a local
-//! `run_job` of the same parameters — the daemon's bit-identical
-//! contract, end to end. `--drain` asks the daemon to drain and shut
-//! down after the batch; `--metrics` fetches and prints the daemon's
-//! metrics registry first.
+//! One job mapping: every job, whatever its origin (`--file` line,
+//! synthetic `--jobs` batch, sweep row), is built as an
+//! [`oscar_serve::SubmitReq`], the `oscar-serve` wire request, and every
+//! check (device and mode names, job-list syntax, instance feasibility)
+//! runs on those requests before the mode is chosen. In-process mode
+//! runs each request's [`SubmitReq::to_spec`] — the mapping the daemon
+//! applies to a `submit` — at the request's priority. With
+//! `--connect ADDR` the same requests go to a running `oscar-serve`
+//! daemon (Unix socket path or `host:port`) over the line-delimited
+//! JSON protocol, admission rejects are retried after the server's
+//! `retry_after_ms` hint, and `--compare` verifies each served checksum
+//! against a local `run_job` of the same spec. Both modes print the
+//! [`oscar_serve::result_checksum`] of every job, so the two tables of
+//! one configuration agree line by line. `--drain` asks the daemon to
+//! drain and shut down after the batch; `--metrics` fetches and prints
+//! the daemon's metrics registry first.
 //!
 //! Observability (in-process modes): `--profile` prints an end-of-run
 //! profile — per-stage time totals from the obs registry, the
@@ -60,23 +68,19 @@
 //!
 //! `qubits` must be even (3-regular MaxCut instances); `seed` feeds
 //! instance generation, the sampling pattern, SPSA, and — under
-//! `--device` — the per-job noise realization.
+//! `--device` — the per-job noise realization. A line that does not
+//! parse, or that `to_spec` rejects, exits 2 naming `path:line`.
 
 use oscar_bench::{device_spec_or_exit, print_header};
-use oscar_core::grid::{Grid2d, Shape};
 use oscar_obs::span::{self, Stage};
 use oscar_obs::{MetricValue, Registry};
-use oscar_problems::ising::IsingProblem;
-use oscar_problems::workload::{ProblemInstance, ProblemKind};
+use oscar_problems::workload::ProblemKind;
 use oscar_runtime::descent::Descent;
-use oscar_runtime::job::{default_vqe_shape, run_job, JobResult, JobSpec};
+use oscar_runtime::job::{run_job, JobResult, JobSpec};
 use oscar_runtime::mitigation::Mitigation;
 use oscar_runtime::scheduler::{BatchRuntime, Priority, RuntimeConfig};
-use oscar_runtime::source::LandscapeSource;
 use oscar_runtime::KeyClass;
-use oscar_serve::SubmitReq;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use oscar_serve::{result_checksum, SubmitReq};
 use std::time::Instant;
 
 /// How `--priority` assigns dispatch priorities across the batch.
@@ -125,6 +129,16 @@ struct Options {
     trace: Option<String>,
     metrics: bool,
     store: Option<String>,
+}
+
+impl Options {
+    /// True when any axis is `sweep` (the cross-product table mode).
+    fn sweeping(&self) -> bool {
+        self.problem == "sweep"
+            || self.device.as_deref() == Some("sweep")
+            || self.mitigation == "sweep"
+            || self.optimizer == "sweep"
+    }
 }
 
 fn usage_and_exit(code: i32) -> ! {
@@ -320,18 +334,18 @@ fn parse_options() -> Options {
         eprintln!("error: --store configures the in-process runtime (use oscar-serve --store)");
         usage_and_exit(2);
     }
-    opts
-}
-
-/// Resolves a device name (honoring `--shots`) into a landscape source.
-fn source_for(name: Option<&str>, shots: Option<usize>) -> LandscapeSource {
-    match name {
-        None => LandscapeSource::Exact,
-        Some(name) => LandscapeSource::Noisy {
-            device: device_spec_or_exit(name),
-            shots,
-        },
+    if opts.sweeping() && opts.file.is_some() {
+        eprintln!("error: --file cannot be combined with a swept axis");
+        std::process::exit(2);
     }
+    if opts.sweeping() && opts.connect.is_some() {
+        eprintln!("error: swept axes cannot be combined with --connect");
+        std::process::exit(2);
+    }
+    if let Some(name) = opts.device.as_deref().filter(|&d| d != "sweep") {
+        device_spec_or_exit(name);
+    }
+    opts
 }
 
 /// Resolves `--problem` (sweep handled by the caller).
@@ -343,42 +357,6 @@ fn problem_kind_or_exit(name: &str) -> ProblemKind {
         );
         std::process::exit(2);
     })
-}
-
-/// The landscape shape a QAOA job of this depth samples: the paper's
-/// 2-D grid at depth 1, a modest 2P-dimensional tensor deeper (counts
-/// shrink with depth to keep the point total tractable).
-fn qaoa_shape(depth: usize) -> Shape {
-    match depth {
-        1 => Shape::Grid2d(Grid2d::small_p1(16, 20)),
-        2 => Shape::qaoa(2, 5, 6),
-        p => Shape::qaoa(p, 3, 3),
-    }
-}
-
-/// The fixed problem instance and landscape shape a kind contributes to
-/// sweeps and synthetic batches. QAOA kinds draw a 10-qubit instance
-/// from `instance_seed`; molecules are fixed by their Hamiltonian and
-/// scan the standard shape.
-fn instance_and_shape(
-    kind: ProblemKind,
-    depth: usize,
-    instance_seed: u64,
-) -> (ProblemInstance, Shape) {
-    match kind {
-        ProblemKind::MaxCut => {
-            let mut rng = StdRng::seed_from_u64(instance_seed);
-            let problem = IsingProblem::try_random_3_regular(10, &mut rng)
-                .expect("10-qubit 3-regular is feasible");
-            (ProblemInstance::ising(problem, depth), qaoa_shape(depth))
-        }
-        ProblemKind::SkModel => {
-            let mut rng = StdRng::seed_from_u64(instance_seed);
-            let problem = IsingProblem::sk_model(10, &mut rng);
-            (ProblemInstance::ising(problem, depth), qaoa_shape(depth))
-        }
-        ProblemKind::Molecule(m) => (ProblemInstance::molecule(m), default_vqe_shape(m)),
-    }
 }
 
 /// Resolves `--mitigation` (sweep handled by the caller).
@@ -404,26 +382,138 @@ fn descent_or_exit(name: &str) -> Descent {
     })
 }
 
-/// One swept-axis combination (the row label of the sweep table).
-#[derive(Clone)]
-struct Combo {
-    problem: ProblemKind,
-    device: Option<String>,
-    mitigation: Mitigation,
-    descent: Descent,
+/// A request on the fixed instance and shape a problem kind contributes
+/// to sweeps and to non-default synthetic batches: QAOA kinds draw a
+/// 10-qubit instance from instance seed 40 and sample the paper's 2-D
+/// grid at depth 1 or a modest 2P-dimensional tensor deeper (counts
+/// shrink with depth to keep the point total tractable); molecules are
+/// fixed by their Hamiltonian and scan their standard shape.
+fn fixed_instance(kind: ProblemKind, depth: usize, seed: u64, fraction: f64) -> SubmitReq {
+    let req = match kind {
+        ProblemKind::Molecule(m) => SubmitReq::vqe(m, seed, fraction),
+        _ if depth == 1 => SubmitReq {
+            problem: kind,
+            ..SubmitReq::new(10, seed, 16, 20, fraction)
+        },
+        _ => {
+            let (nb, ng) = if depth == 2 { (5, 6) } else { (3, 3) };
+            let counts = [vec![nb; depth], vec![ng; depth]].concat();
+            SubmitReq::deep_qaoa(kind, 10, depth, seed, counts, fraction)
+        }
+    };
+    SubmitReq {
+        instance_seed: 40,
+        ..req
+    }
 }
 
-/// The cross product of the swept axes: `--problem sweep` crosses all
-/// four workload families, `--device sweep` the noisy Table 5 lineup,
-/// `--mitigation sweep` all five modes, `--optimizer sweep` all six
-/// optimizers; a non-swept axis contributes its single configured value.
-fn sweep_combos(opts: &Options) -> Vec<Combo> {
-    let problems: Vec<ProblemKind> = match opts.problem.as_str() {
-        "sweep" => ProblemKind::names()
-            .iter()
-            .map(|n| ProblemKind::by_name(n).expect("registry names resolve"))
-            .collect(),
-        name => vec![problem_kind_or_exit(name)],
+/// Synthesizes a batch for the default workload (depth-1 MaxCut):
+/// `--jobs` jobs cycling through 4 problem instances and 4 grids, so the
+/// landscape cache has real repeats to dedupe. Any other
+/// `--problem`/`--depth` combination runs `--jobs` sampling seeds over the
+/// kind's [`fixed_instance`], cycling 4 noise-realization seeds so noisy
+/// repeats still share cached landscapes. Under a noisy source the
+/// noise-realization seed follows the instance (not the job) in both
+/// modes.
+fn synthetic_requests(opts: &Options) -> Vec<SubmitReq> {
+    let kind = problem_kind_or_exit(&opts.problem);
+    let seed = |j: usize| 2000 + j as u64 * 13;
+    if kind != ProblemKind::MaxCut || opts.depth != 1 {
+        return (0..opts.jobs)
+            .map(|j| SubmitReq {
+                landscape_seed: (j % 4) as u64,
+                ..fixed_instance(kind, opts.depth, seed(j), opts.fraction)
+            })
+            .collect();
+    }
+    let grids = [(16, 20), (20, 24), (18, 28), (24, 30)];
+    (0..opts.jobs)
+        .map(|j| {
+            let k = j % 4;
+            let (rows, cols) = grids[k];
+            SubmitReq {
+                instance_seed: 40 + k as u64,
+                landscape_seed: k as u64,
+                ..SubmitReq::new(8 + 2 * k, seed(j), rows, cols, opts.fraction)
+            }
+        })
+        .collect()
+}
+
+/// Parses the job-list file format (see module docs) into depth-1
+/// MaxCut requests. [`SubmitReq::new`] seeds each line's instance and
+/// noise realization from its `seed`, so distinct lines sweep distinct
+/// noise streams deterministically. Each line is checked with
+/// [`SubmitReq::to_spec`] as it is read, so a line that mapping rejects
+/// exits 2 naming `path:line`, in-process and with `--connect` alike.
+fn read_job_file(path: &str) -> Vec<SubmitReq> {
+    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
+        eprintln!("error: cannot read job list '{path}': {e}");
+        std::process::exit(2);
+    });
+    let mut reqs = Vec::new();
+    for (lineno, line) in text.lines().enumerate() {
+        let line = line.split('#').next().unwrap_or("").trim();
+        if line.is_empty() {
+            continue;
+        }
+        let fields: Vec<&str> = line.split_whitespace().collect();
+        let parsed = match fields[..] {
+            [qubits, seed, rows, cols, fraction] => (|| {
+                Some(SubmitReq::new(
+                    qubits.parse().ok()?,
+                    seed.parse().ok()?,
+                    rows.parse().ok()?,
+                    cols.parse().ok()?,
+                    fraction.parse().ok()?,
+                ))
+            })(),
+            _ => None,
+        };
+        let checked = parsed
+            .ok_or_else(|| format!("expected `qubits seed rows cols fraction`, got '{line}'"))
+            .and_then(|req| req.to_spec().map(|_| req).map_err(|e| e.message));
+        match checked {
+            Ok(req) => reqs.push(req),
+            Err(message) => {
+                eprintln!("error: {path}:{}: {message}", lineno + 1);
+                std::process::exit(2);
+            }
+        }
+    }
+    if reqs.is_empty() {
+        eprintln!("error: job list '{path}' contains no jobs");
+        std::process::exit(2);
+    }
+    reqs
+}
+
+/// The batch as wire requests — the one job form both modes run. The
+/// job list comes from `--file`, the synthetic generator, or, in sweep
+/// mode, one [`fixed_instance`] row per problem kind (one sampling and
+/// one noise seed, so the landscape cache shares raw and per-factor
+/// landscapes across rows and the table isolates the swept axes).
+/// Each job is then crossed with the device × mitigation × optimizer
+/// axes — a non-swept axis contributes its single configured value, a
+/// swept one the noisy Table 5 lineup, all five mitigation modes, or
+/// all six optimizers — and given its `--priority`.
+fn requests(opts: &Options) -> Vec<SubmitReq> {
+    let jobs = if let Some(path) = &opts.file {
+        read_job_file(path)
+    } else if opts.sweeping() {
+        let kinds = match opts.problem.as_str() {
+            "sweep" => ProblemKind::names().map(problem_kind_or_exit).to_vec(),
+            name => vec![problem_kind_or_exit(name)],
+        };
+        kinds
+            .into_iter()
+            .map(|kind| SubmitReq {
+                landscape_seed: 1,
+                ..fixed_instance(kind, opts.depth, 7, opts.fraction)
+            })
+            .collect()
+    } else {
+        synthetic_requests(opts)
     };
     let devices: Vec<Option<String>> = match opts.device.as_deref() {
         Some("sweep") => SWEEP_DEVICES.iter().map(|d| Some(d.to_string())).collect(),
@@ -443,164 +533,24 @@ fn sweep_combos(opts: &Options) -> Vec<Combo> {
         "sweep" => Descent::OPTIMIZERS.to_vec(),
         name => vec![descent_or_exit(name)],
     };
-    let mut combos = Vec::new();
-    for problem in &problems {
+    let mut reqs = Vec::new();
+    for job in &jobs {
         for device in &devices {
             for mitigation in &mitigations {
-                for descent in &descents {
-                    combos.push(Combo {
-                        problem: *problem,
+                for &descent in &descents {
+                    reqs.push(SubmitReq {
                         device: device.clone(),
+                        shots: opts.shots,
                         mitigation: mitigation.clone(),
-                        descent: *descent,
+                        descent,
+                        priority: Some(opts.priority.for_job(reqs.len())),
+                        ..job.clone()
                     });
                 }
             }
         }
     }
-    combos
-}
-
-/// Sweep-mode jobs: every combination over one fixed instance and
-/// shape per problem kind, one sampling seed — so the landscape cache
-/// shares raw and per-factor landscapes across rows and the table
-/// isolates the problem/mitigation/optimizer axes. QAOA rows honor
-/// `--depth`; molecular rows scan their standard shape.
-fn sweep_jobs(opts: &Options, combos: &[Combo]) -> Vec<JobSpec> {
-    combos
-        .iter()
-        .map(|combo| {
-            let (instance, shape) = instance_and_shape(combo.problem, opts.depth, 40);
-            JobSpec::shaped(instance, shape, opts.fraction, 7)
-                .with_source(source_for(combo.device.as_deref(), opts.shots))
-                .with_landscape_seed(1)
-                .with_mitigation(combo.mitigation.clone())
-                .with_descent(combo.descent)
-        })
-        .collect()
-}
-
-/// Parses the job-list file format (see module docs). Under a noisy
-/// source, each line's `seed` doubles as its noise-realization seed, so
-/// distinct lines sweep distinct noise streams deterministically.
-fn load_jobs(
-    path: &str,
-    source: &LandscapeSource,
-    mitigation: &Mitigation,
-    descent: Descent,
-) -> Vec<JobSpec> {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("error: cannot read job list '{path}': {e}");
-        std::process::exit(2);
-    });
-    let mut specs = Vec::new();
-    for (lineno, line) in text.lines().enumerate() {
-        let line = line.split('#').next().unwrap_or("").trim();
-        if line.is_empty() {
-            continue;
-        }
-        let fields: Vec<&str> = line.split_whitespace().collect();
-        let parsed: Option<(usize, u64, usize, usize, f64)> = (|| {
-            if fields.len() != 5 {
-                return None;
-            }
-            Some((
-                fields[0].parse().ok()?,
-                fields[1].parse().ok()?,
-                fields[2].parse().ok()?,
-                fields[3].parse().ok()?,
-                fields[4].parse().ok()?,
-            ))
-        })();
-        let Some((qubits, seed, rows, cols, fraction)) = parsed else {
-            eprintln!(
-                "error: {path}:{}: expected `qubits seed rows cols fraction`, got '{line}'",
-                lineno + 1
-            );
-            std::process::exit(2);
-        };
-        let mut rng = StdRng::seed_from_u64(seed);
-        let problem = IsingProblem::try_random_3_regular(qubits, &mut rng).unwrap_or_else(|e| {
-            eprintln!("error: {path}:{}: {e}", lineno + 1);
-            std::process::exit(2);
-        });
-        specs.push(
-            JobSpec::new(problem, Grid2d::small_p1(rows, cols), fraction, seed)
-                .with_source(source.clone())
-                .with_landscape_seed(seed)
-                .with_mitigation(mitigation.clone())
-                .with_descent(descent),
-        );
-    }
-    if specs.is_empty() {
-        eprintln!("error: job list '{path}' contains no jobs");
-        std::process::exit(2);
-    }
-    specs
-}
-
-/// Synthesizes a batch for the default workload (depth-1 MaxCut): `n`
-/// jobs cycling through 4 problem instances and 4 grids, so the
-/// landscape cache has real repeats to dedupe. Any other
-/// `--problem`/`--depth` combination runs `n` sampling seeds over the
-/// kind's fixed instance and shape (the [`instance_and_shape`]
-/// mapping), cycling 4 noise-realization seeds so noisy repeats still
-/// share cached landscapes. Under a noisy source the noise-realization
-/// seed follows the instance (not the job) in both modes.
-fn synthetic_jobs(
-    kind: ProblemKind,
-    depth: usize,
-    n: usize,
-    fraction: f64,
-    source: &LandscapeSource,
-    mitigation: &Mitigation,
-    descent: Descent,
-) -> Vec<JobSpec> {
-    if kind != ProblemKind::MaxCut || depth != 1 {
-        let (instance, shape) = instance_and_shape(kind, depth, 40);
-        return (0..n)
-            .map(|j| {
-                JobSpec::shaped(
-                    instance.clone(),
-                    shape.clone(),
-                    fraction,
-                    2000 + j as u64 * 13,
-                )
-                .with_source(source.clone())
-                .with_landscape_seed((j % 4) as u64)
-                .with_mitigation(mitigation.clone())
-                .with_descent(descent)
-            })
-            .collect();
-    }
-    let problems: Vec<IsingProblem> = (0..4u64)
-        .map(|k| {
-            let mut rng = StdRng::seed_from_u64(40 + k);
-            IsingProblem::try_random_3_regular(8 + 2 * k as usize, &mut rng)
-                .expect("even-qubit 3-regular instances are feasible")
-        })
-        .collect();
-    let grids = [
-        Grid2d::small_p1(16, 20),
-        Grid2d::small_p1(20, 24),
-        Grid2d::small_p1(18, 28),
-        Grid2d::small_p1(24, 30),
-    ];
-    (0..n)
-        .map(|j| {
-            let k = j % 4;
-            JobSpec::new(
-                problems[k].clone(),
-                grids[k],
-                fraction,
-                2000 + j as u64 * 13,
-            )
-            .with_source(source.clone())
-            .with_landscape_seed(k as u64)
-            .with_mitigation(mitigation.clone())
-            .with_descent(descent)
-        })
-        .collect()
+    reqs
 }
 
 fn describe(spec: &JobSpec) -> String {
@@ -616,126 +566,11 @@ fn describe(spec: &JobSpec) -> String {
     format!("{}q {extent}", spec.problem.num_qubits())
 }
 
-/// Builds the wire requests for connect mode — the same parameters
-/// [`synthetic_jobs`] / [`load_jobs`] feed into [`JobSpec`]s, expressed
-/// as [`SubmitReq`]s so the daemon rebuilds identical specs.
-fn connect_requests(opts: &Options) -> Vec<SubmitReq> {
-    let mitigation = mitigation_or_exit(&opts.mitigation);
-    let descent = descent_or_exit(&opts.optimizer);
-    let fill = |mut req: SubmitReq, index: usize| -> SubmitReq {
-        req.device = opts.device.clone();
-        req.shots = opts.shots;
-        req.mitigation = mitigation.clone();
-        req.descent = descent;
-        req.priority = Some(opts.priority.for_job(index));
-        req
-    };
-    match &opts.file {
-        Some(path) => {
-            let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-                eprintln!("error: cannot read job list '{path}': {e}");
-                std::process::exit(2);
-            });
-            let mut reqs = Vec::new();
-            for line in text.lines() {
-                let line = line.split('#').next().unwrap_or("").trim();
-                if line.is_empty() {
-                    continue;
-                }
-                let fields: Vec<&str> = line.split_whitespace().collect();
-                let parsed: Option<(usize, u64, usize, usize, f64)> = (|| {
-                    if fields.len() != 5 {
-                        return None;
-                    }
-                    Some((
-                        fields[0].parse().ok()?,
-                        fields[1].parse().ok()?,
-                        fields[2].parse().ok()?,
-                        fields[3].parse().ok()?,
-                        fields[4].parse().ok()?,
-                    ))
-                })();
-                let Some((qubits, seed, rows, cols, fraction)) = parsed else {
-                    eprintln!("error: {path}: expected `qubits seed rows cols fraction`");
-                    std::process::exit(2);
-                };
-                let index = reqs.len();
-                // SubmitReq defaults instance_seed and landscape_seed to
-                // `seed` — exactly the load_jobs mapping.
-                reqs.push(fill(
-                    SubmitReq::new(qubits, seed, rows, cols, fraction),
-                    index,
-                ));
-            }
-            if reqs.is_empty() {
-                eprintln!("error: job list '{path}' contains no jobs");
-                std::process::exit(2);
-            }
-            reqs
-        }
-        None => {
-            let kind = problem_kind_or_exit(&opts.problem);
-            if kind != ProblemKind::MaxCut || opts.depth != 1 {
-                // Mirror the non-default synthetic_jobs mapping: `n`
-                // sampling seeds over the kind's fixed instance/shape.
-                return (0..opts.jobs)
-                    .map(|j| {
-                        let seed = 2000 + j as u64 * 13;
-                        let mut req = match kind {
-                            ProblemKind::Molecule(m) => SubmitReq::vqe(m, seed, opts.fraction),
-                            _ if opts.depth == 1 => {
-                                let mut req = SubmitReq::new(10, seed, 16, 20, opts.fraction);
-                                req.problem = kind;
-                                req
-                            }
-                            _ => SubmitReq::deep_qaoa(
-                                kind,
-                                10,
-                                opts.depth,
-                                seed,
-                                qaoa_shape(opts.depth).dims(),
-                                opts.fraction,
-                            ),
-                        };
-                        req.instance_seed = 40;
-                        req.landscape_seed = (j % 4) as u64;
-                        fill(req, j)
-                    })
-                    .collect();
-            }
-            // Mirror synthetic_jobs: 4 instances × 4 grids, cycled.
-            let grids = [(16usize, 20usize), (20, 24), (18, 28), (24, 30)];
-            (0..opts.jobs)
-                .map(|j| {
-                    let k = j % 4;
-                    let (rows, cols) = grids[k];
-                    let mut req =
-                        SubmitReq::new(8 + 2 * k, 2000 + j as u64 * 13, rows, cols, opts.fraction);
-                    req.instance_seed = 40 + k as u64;
-                    req.landscape_seed = k as u64;
-                    fill(req, j)
-                })
-                .collect()
-        }
-    }
-}
-
-/// The connect-mode workload column: grid extents for 2-D jobs, shape
-/// counts for deep QAOA, the molecule's standard scan otherwise.
-fn wire_workload(req: &SubmitReq) -> String {
-    match &req.shape {
-        Some(counts) => format!(
-            "{}q {}",
-            req.qubits,
-            counts
-                .iter()
-                .map(|n| n.to_string())
-                .collect::<Vec<_>>()
-                .join("x")
-        ),
-        None if req.problem.is_molecule() => format!("{} scan", req.problem.name()),
-        None => format!("{}q {}x{}", req.qubits, req.rows, req.cols),
-    }
+/// A result's checksum as both job tables print it and `--compare`
+/// checks it in both modes (bit-identity of reconstruction values,
+/// NRMSE, best point and best value).
+fn checksum(result: &JobResult) -> String {
+    format!("{:016x}", result_checksum(result))
 }
 
 /// Submits one request, retrying structured admission rejects after the
@@ -774,15 +609,14 @@ fn submit_with_retry(client: &mut oscar_serve::Client, req: &SubmitReq) -> u64 {
 
 /// Connect mode: drive a running `oscar-serve` daemon instead of an
 /// in-process runtime, with `--compare` checking every served checksum
-/// against a local `run_job` of the same request.
-fn run_connected(opts: &Options) -> ! {
+/// against a local `run_job` of the request's spec.
+fn run_connected(opts: &Options, reqs: &[SubmitReq], specs: &[JobSpec]) -> ! {
     use oscar_serve::Json;
     let addr = opts.connect.as_deref().expect("connect mode");
     let mut client = oscar_serve::Client::connect(addr).unwrap_or_else(|e| {
         eprintln!("error: cannot connect to {addr}: {e}");
         std::process::exit(1);
     });
-    let reqs = connect_requests(opts);
     println!("{} jobs over the wire to {addr}\n", reqs.len());
 
     let t0 = Instant::now();
@@ -795,7 +629,7 @@ fn run_connected(opts: &Options) -> ! {
         "job", "workload", "nrmse", "cache", "latency"
     );
     let mut drift = 0usize;
-    for (req, id) in reqs.iter().zip(&ids) {
+    for (spec, id) in specs.iter().zip(&ids) {
         let reply = client.wait(*id, Some(120_000), false).unwrap_or_else(|e| {
             eprintln!("error: wait({id}) failed: {e}");
             std::process::exit(1);
@@ -810,19 +644,13 @@ fn run_connected(opts: &Options) -> ! {
             std::process::exit(1);
         }
         let result = reply.get("result").unwrap_or(&Json::Null);
-        let checksum = result
+        let served = result
             .get("checksum")
             .and_then(Json::as_str)
             .unwrap_or("?")
             .to_string();
         let verified = if opts.compare {
-            let spec = req.to_spec().unwrap_or_else(|e| {
-                eprintln!("error: {}", e.message);
-                std::process::exit(1);
-            });
-            let local = run_job(&spec, None);
-            let expected = format!("{:016x}", oscar_serve::result_checksum(&local));
-            if expected == checksum {
+            if checksum(&run_job(spec, None)) == served {
                 " ok"
             } else {
                 drift += 1;
@@ -832,9 +660,9 @@ fn run_connected(opts: &Options) -> ! {
             ""
         };
         println!(
-            "{:>6}  {:<10}{:>9.4}{:>9}{:>10.1}ms  {checksum}{verified}",
+            "{:>6}  {:<10}{:>9.4}{:>9}{:>10.1}ms  {served}{verified}",
             id,
-            wire_workload(req),
+            describe(spec),
             result
                 .get("nrmse")
                 .and_then(Json::as_f64)
@@ -895,43 +723,20 @@ fn main() {
         span::Tracer::global().set_enabled(true);
     }
     print_header("oscar-batch", "batch runtime throughput");
-    let sweeping = opts.problem == "sweep"
-        || opts.device.as_deref() == Some("sweep")
-        || opts.mitigation == "sweep"
-        || opts.optimizer == "sweep";
-    if sweeping && opts.file.is_some() {
-        eprintln!("error: --file cannot be combined with a swept axis");
-        std::process::exit(2);
-    }
+    let reqs = requests(&opts);
+    let specs: Vec<JobSpec> = reqs
+        .iter()
+        .map(|req| {
+            req.to_spec().unwrap_or_else(|e| {
+                eprintln!("error: {}", e.message);
+                std::process::exit(2);
+            })
+        })
+        .collect();
     if opts.connect.is_some() {
-        if sweeping {
-            eprintln!("error: swept axes cannot be combined with --connect");
-            std::process::exit(2);
-        }
-        run_connected(&opts);
+        run_connected(&opts, &reqs, &specs);
     }
 
-    let (specs, combos) = if sweeping {
-        let combos = sweep_combos(&opts);
-        (sweep_jobs(&opts, &combos), Some(combos))
-    } else {
-        let source = source_for(opts.device.as_deref(), opts.shots);
-        let mitigation = mitigation_or_exit(&opts.mitigation);
-        let descent = descent_or_exit(&opts.optimizer);
-        let specs = match &opts.file {
-            Some(path) => load_jobs(path, &source, &mitigation, descent),
-            None => synthetic_jobs(
-                problem_kind_or_exit(&opts.problem),
-                opts.depth,
-                opts.jobs,
-                opts.fraction,
-                &source,
-                &mitigation,
-                descent,
-            ),
-        };
-        (specs, None)
-    };
     println!(
         "{} jobs, concurrency {}, pool budget {} thread(s), problem {}, depth {}, \
          source {}{}, mitigation {}, optimizer {}\n",
@@ -964,10 +769,12 @@ fn main() {
         ..RuntimeConfig::default()
     });
     let t0 = Instant::now();
-    let handles: Vec<_> = specs
+    let handles: Vec<_> = reqs
         .iter()
-        .enumerate()
-        .map(|(j, s)| runtime.submit_with_priority(s.clone(), opts.priority.for_job(j)))
+        .zip(&specs)
+        .map(|(req, spec)| {
+            runtime.submit_with_priority(spec.clone(), req.priority.unwrap_or(Priority::Normal))
+        })
         .collect();
     let mut results = Vec::with_capacity(handles.len());
     for handle in handles {
@@ -981,9 +788,10 @@ fn main() {
     }
     let batch_wall = t0.elapsed();
 
-    match &combos {
-        Some(combos) => print_sweep_table(combos, &specs, &results),
-        None => print_job_table(&specs, &results),
+    if opts.sweeping() {
+        print_sweep_table(&reqs, &results);
+    } else {
+        print_job_table(&specs, &results);
     }
     let cache = runtime.cache_stats();
     let throughput = results.len() as f64 / batch_wall.as_secs_f64();
@@ -1020,15 +828,11 @@ fn main() {
         let t1 = Instant::now();
         let sequential: Vec<JobResult> = specs.iter().map(|s| run_job(s, None)).collect();
         let seq_wall = t1.elapsed();
-        let mut drift = 0usize;
-        for (seq, sched) in sequential.iter().zip(&results) {
-            if seq.reconstruction.values() != sched.reconstruction.values()
-                || seq.nrmse.to_bits() != sched.nrmse.to_bits()
-                || seq.best_point != sched.best_point
-            {
-                drift += 1;
-            }
-        }
+        let drift = sequential
+            .iter()
+            .zip(&results)
+            .filter(|(seq, sched)| checksum(seq) != checksum(sched))
+            .count();
         println!(
             "\nsequential (uncached, one job at a time) wall {:.2}s  \
              runtime speedup {:.2}x  bit-identical: {}",
@@ -1226,12 +1030,12 @@ fn print_trace_summary(spans: usize, dropped: u64, path: &str) {
 /// The default per-job report.
 fn print_job_table(specs: &[JobSpec], results: &[JobResult]) {
     println!(
-        "{:>4}  {:<10}{:>9}{:>7}{:>9}{:>7}{:>11}",
+        "{:>4}  {:<10}{:>9}{:>7}{:>9}{:>7}{:>11}  checksum",
         "job", "workload", "samples", "iters", "nrmse", "cache", "latency"
     );
     for (spec, r) in specs.iter().zip(results) {
         println!(
-            "{:>4}  {:<10}{:>9}{:>7}{:>9.4}{:>7}{:>10.1}ms",
+            "{:>4}  {:<10}{:>9}{:>7}{:>9.4}{:>7}{:>10.1}ms  {}",
             r.job_id,
             describe(spec),
             r.samples_used,
@@ -1239,24 +1043,25 @@ fn print_job_table(specs: &[JobSpec], results: &[JobResult]) {
             r.nrmse,
             if r.landscape_cache_hit { "hit" } else { "miss" },
             r.wall.as_secs_f64() * 1e3,
+            checksum(r),
         );
     }
 }
 
 /// The paper-style sweep table: one row per problem × device ×
 /// mitigation × optimizer combination.
-fn print_sweep_table(combos: &[Combo], specs: &[JobSpec], results: &[JobResult]) {
+fn print_sweep_table(reqs: &[SubmitReq], results: &[JobResult]) {
     println!(
         "{:<9}{:<12}{:<12}{:<15}{:>9}{:>12}{:>7}{:>11}",
         "problem", "device", "mitigation", "optimizer", "nrmse", "best value", "cache", "latency"
     );
-    for ((combo, _spec), r) in combos.iter().zip(specs).zip(results) {
+    for (req, r) in reqs.iter().zip(results) {
         println!(
             "{:<9}{:<12}{:<12}{:<15}{:>9.4}{:>12.4}{:>7}{:>10.1}ms",
-            combo.problem.name(),
-            combo.device.as_deref().unwrap_or("exact"),
-            combo.mitigation.name(),
-            combo.descent.name(),
+            req.problem.name(),
+            req.device.as_deref().unwrap_or("exact"),
+            req.mitigation.name(),
+            req.descent.name(),
             r.nrmse,
             r.best_value,
             if r.landscape_cache_hit { "hit" } else { "miss" },

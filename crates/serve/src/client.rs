@@ -117,7 +117,26 @@ impl Client {
     }
 
     /// Submits a job; returns the raw reply (check `ok` / `job`).
+    ///
+    /// Wire numbers are f64, exact for integers up to 2^53 only, so a
+    /// request whose `seed`, `instance_seed` or `landscape_seed` is
+    /// above 2^53 would reach the daemon as a different seed. Such a
+    /// request fails with [`ErrorKind::InvalidInput`] before anything
+    /// is written.
     pub fn submit(&mut self, req: &SubmitReq) -> std::io::Result<Json> {
+        const MAX_EXACT: u64 = 1 << 53;
+        for (name, seed) in [
+            ("seed", req.seed),
+            ("instance_seed", req.instance_seed),
+            ("landscape_seed", req.landscape_seed),
+        ] {
+            if seed > MAX_EXACT {
+                return Err(Error::new(
+                    ErrorKind::InvalidInput,
+                    format!("'{name}' {seed} is above 2^53, the largest integer the wire carries exactly"),
+                ));
+            }
+        }
         self.request(&req.to_json())
     }
 
@@ -182,5 +201,70 @@ impl Client {
             "verb".to_string(),
             Json::Str("drain".into()),
         )]))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A client over one end of a socket pair; the other end plays the
+    /// daemon.
+    fn paired() -> (Client, UnixStream) {
+        let (ours, theirs) = UnixStream::pair().unwrap();
+        (Client::from_stream(Stream::Unix(ours)).unwrap(), theirs)
+    }
+
+    #[test]
+    fn submit_rejects_seeds_the_wire_would_round() {
+        let limit = 1u64 << 53;
+        for field in ["seed", "instance_seed", "landscape_seed"] {
+            let (mut client, daemon) = paired();
+            let mut req = SubmitReq::new(8, 1, 10, 10, 0.3);
+            match field {
+                "seed" => req.seed = limit + 1,
+                "instance_seed" => req.instance_seed = limit + 1,
+                _ => req.landscape_seed = limit + 1,
+            }
+            let err = client.submit(&req).unwrap_err();
+            assert_eq!(err.kind(), ErrorKind::InvalidInput, "{field}: {err}");
+            assert!(err.to_string().contains(field), "{err}");
+            // Nothing reached the daemon.
+            drop(client);
+            let mut sent = String::new();
+            BufReader::new(daemon).read_line(&mut sent).unwrap();
+            assert_eq!(sent, "", "{field}: the client wrote {sent:?}");
+        }
+    }
+
+    #[test]
+    fn submit_sends_seeds_up_to_two_to_the_53_exactly() {
+        let limit = 1u64 << 53;
+        let (mut client, daemon) = paired();
+        let echo = std::thread::spawn(move || {
+            let mut reader = BufReader::new(daemon.try_clone().unwrap());
+            let mut line = String::new();
+            reader.read_line(&mut line).unwrap();
+            let mut daemon = daemon;
+            daemon.write_all(b"{\"ok\":true,\"job\":1}\n").unwrap();
+            json::parse(line.trim()).unwrap()
+        });
+        let mut req = SubmitReq::new(8, limit, 10, 10, 0.3);
+        req.instance_seed = limit;
+        req.landscape_seed = limit - 1;
+        let reply = client.submit(&req).unwrap();
+        assert_eq!(reply.get("job").and_then(Json::as_u64), Some(1));
+        let sent = echo.join().unwrap();
+        for (field, want) in [
+            ("seed", limit),
+            ("instance_seed", limit),
+            ("landscape_seed", limit - 1),
+        ] {
+            assert_eq!(
+                sent.get(field).and_then(Json::as_u64),
+                Some(want),
+                "{field}"
+            );
+        }
     }
 }

@@ -10,13 +10,15 @@
 //! a structured error reply on the same connection; the daemon never
 //! answers a request with silence or a disconnect.
 //!
-//! [`SubmitReq`] is the single source of truth for how wire parameters
-//! become a [`JobSpec`]: [`SubmitReq::to_spec`] mirrors the
-//! `oscar-batch` job-list mapping (instance from
-//! `StdRng::seed_from_u64(instance_seed)`, grid from `small_p1`), so a
-//! daemon-side job is *the same spec* a local run would build — the
-//! foundation of the bit-identical-results guarantee the fault suite
-//! asserts via [`result_checksum`].
+//! [`SubmitReq`] is the one job form and [`SubmitReq::to_spec`] the one
+//! mapping from it to a [`JobSpec`] (instance from
+//! `StdRng::seed_from_u64(instance_seed)`, 2-D grid from `small_p1`,
+//! N-D tensor from `Shape::qaoa_with_counts`). The daemon maps every
+//! `submit` through it, and `oscar-batch` builds all of its jobs as
+//! `SubmitReq`s and maps them through it in-process as well, so a
+//! daemon-side job is *the same spec* a local run builds, by
+//! construction — the foundation of the bit-identical-results
+//! guarantee the fault suite asserts via [`result_checksum`].
 
 use crate::json::Json;
 use oscar_core::grid::{Grid2d, Shape};
@@ -499,10 +501,22 @@ impl SubmitReq {
         Json::Obj(fields)
     }
 
-    /// Builds the job spec this request denotes — the exact mapping
-    /// `oscar-batch --file` uses, so daemon-side results are
-    /// bit-identical to a local `run_job` on the same parameters.
+    /// Builds the job spec this request denotes. This is the only
+    /// request-to-job mapping: the daemon runs it on every `submit`, and
+    /// `oscar-batch` builds every job — `--file` line, synthetic batch
+    /// or sweep row — as a `SubmitReq` and runs this mapping in-process
+    /// too, so a served result is bit-identical to a local `run_job` of
+    /// the same request.
+    ///
+    /// Besides an infeasible instance or an unknown device, it rejects
+    /// a fraction outside `(0, 1]` and a `rows`/`cols` side below 2, which
+    /// [`Self::from_json`] already rules out on the wire but a request
+    /// built in code can carry. The service caps ([`MAX_QUBITS`],
+    /// [`MAX_GRID_SIDE`], [`MAX_SHAPE_POINTS`]) apply on the wire only.
     pub fn to_spec(&self) -> Result<JobSpec, RequestError> {
+        if !(self.fraction > 0.0 && self.fraction <= 1.0) {
+            return Err(RequestError::bad("'fraction' must be in (0, 1]"));
+        }
         let (instance, shape) = match self.problem {
             ProblemKind::MaxCut | ProblemKind::SkModel => {
                 let mut rng = StdRng::seed_from_u64(self.instance_seed);
@@ -514,6 +528,9 @@ impl SubmitReq {
                     _ => IsingProblem::sk_model(self.qubits, &mut rng),
                 };
                 let shape = match &self.shape {
+                    None if self.rows < 2 || self.cols < 2 => {
+                        return Err(RequestError::bad("'rows' and 'cols' must be at least 2"))
+                    }
                     None => Shape::Grid2d(Grid2d::small_p1(self.rows, self.cols)),
                     Some(counts) => {
                         let p = self.depth;
@@ -901,6 +918,26 @@ mod tests {
         assert_eq!(result_checksum(&a), result_checksum(&b));
         assert_eq!(a.best_point.len(), 4);
 
+        // Depth-2 SK model (what `oscar-batch --problem sk --depth 2`
+        // runs), with an instance seed apart from the sampling seed.
+        let mut req = SubmitReq::deep_qaoa(ProblemKind::SkModel, 6, 2, 12, vec![4, 4, 5, 5], 0.3);
+        req.instance_seed = 40;
+        req.landscape_seed = 3;
+        let spec = req.to_spec().unwrap();
+        let mut rng = StdRng::seed_from_u64(40);
+        let problem = IsingProblem::sk_model(6, &mut rng);
+        let reference = JobSpec::shaped(
+            oscar_problems::workload::ProblemInstance::ising(problem, 2),
+            Shape::qaoa(2, 4, 5),
+            0.3,
+            12,
+        )
+        .with_landscape_seed(3);
+        let a = oscar_runtime::job::run_job(&spec, None);
+        let b = oscar_runtime::job::run_job(&reference, None);
+        assert_eq!(result_checksum(&a), result_checksum(&b));
+        assert_eq!(a.best_point.len(), 4);
+
         // VQE with the default scan shape.
         let spec = SubmitReq::vqe(Molecule::H2, 5, 0.5).to_spec().unwrap();
         let reference = JobSpec::shaped(
@@ -934,8 +971,7 @@ mod tests {
 
     #[test]
     fn to_spec_matches_the_batch_job_list_mapping() {
-        // The same parameters, mapped by hand exactly as
-        // `oscar-batch --file` does it.
+        // The same parameters, mapped by hand: a `--file` line.
         let req = SubmitReq::new(8, 17, 12, 14, 0.3);
         let spec = req.to_spec().unwrap();
         let mut rng = StdRng::seed_from_u64(17);
@@ -946,6 +982,40 @@ mod tests {
         let b = oscar_runtime::job::run_job(&reference, None);
         assert_eq!(result_checksum(&a), result_checksum(&b));
         assert_eq!(a.nrmse.to_bits(), b.nrmse.to_bits());
+
+        // Depth-1 SK model on `rows`/`cols` (what `oscar-batch --problem
+        // sk` runs), with an instance seed apart from the sampling seed.
+        let req = SubmitReq {
+            problem: ProblemKind::SkModel,
+            instance_seed: 40,
+            landscape_seed: 2,
+            ..SubmitReq::new(8, 23, 12, 14, 0.3)
+        };
+        let spec = req.to_spec().unwrap();
+        let mut rng = StdRng::seed_from_u64(40);
+        let problem = IsingProblem::sk_model(8, &mut rng);
+        let reference =
+            JobSpec::new(problem, Grid2d::small_p1(12, 14), 0.3, 23).with_landscape_seed(2);
+        let a = oscar_runtime::job::run_job(&spec, None);
+        let b = oscar_runtime::job::run_job(&reference, None);
+        assert_eq!(result_checksum(&a), result_checksum(&b));
+        assert_eq!(a.nrmse.to_bits(), b.nrmse.to_bits());
+    }
+
+    #[test]
+    fn to_spec_rejects_fractions_and_sides_a_job_cannot_run() {
+        for (req, why) in [
+            (SubmitReq::new(8, 1, 10, 10, 0.0), "zero fraction"),
+            (SubmitReq::new(8, 1, 10, 10, 1.5), "fraction above 1"),
+            (SubmitReq::new(8, 1, 10, 10, f64::NAN), "NaN fraction"),
+            (SubmitReq::new(8, 1, 1, 10, 0.3), "one row"),
+            (SubmitReq::new(8, 1, 10, 0, 0.3), "no columns"),
+            (SubmitReq::new(7, 1, 10, 10, 0.3), "odd MaxCut register"),
+        ] {
+            let err = req.to_spec().map(|_| ()).unwrap_err();
+            assert_eq!(err.code, ErrorCode::BadRequest, "{why}: {}", err.message);
+        }
+        assert!(SubmitReq::new(8, 1, 2, 2, 1.0).to_spec().is_ok());
     }
 
     #[test]

@@ -36,7 +36,7 @@ fn bench_speedup(c: &mut Criterion) {
                     &truth,
                     0.10,
                     &mut rng,
-                    |beta, gamma| eval.expectation(&[beta], &[gamma]),
+                    |_, beta, gamma| eval.expectation(&[beta], &[gamma]),
                 );
                 report.nrmse
             });

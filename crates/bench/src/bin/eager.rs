@@ -30,7 +30,6 @@ fn main() {
                 1,
                 NoiseModel::ideal(),
                 LatencyModel::cloud_queue(),
-                100 + k,
             )
         })
         .collect();
@@ -50,7 +49,7 @@ fn main() {
             }
         })
         .collect();
-    let outcomes = execute_round_robin(&device_refs, &jobs);
+    let outcomes = execute_round_robin(&device_refs, &jobs, 100);
     let total = makespan(&outcomes);
     let latencies: Vec<f64> = outcomes.iter().map(|o| o.completion_time).collect();
     let stats = LatencyStats::from_samples(&latencies);

@@ -15,7 +15,7 @@ fn main() {
     let mut rng = seeded(10_000);
     let problem = IsingProblem::random_3_regular(n, &mut rng);
     let spec = device_from_args("zne sim");
-    let device = spec.build(&problem, 4);
+    let device = spec.build(&problem);
     let grid = Grid2d::small_p1(20, 30);
 
     let set = ZneLandscapes::generate_seeded(&device, grid, 4);

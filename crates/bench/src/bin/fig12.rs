@@ -42,8 +42,10 @@ fn main() {
             let mut cobyla_d = Vec::new();
             for (pi, problem) in problems.iter().enumerate() {
                 let truth = if noisy {
-                    let dev = noisy_spec.build(problem, pi as u64);
-                    Landscape::generate(grid, |b, g| dev.execute(&[b], &[g]))
+                    let dev = noisy_spec.build(problem);
+                    Landscape::generate_indexed_par(grid, |i, b, g| {
+                        dev.execute_at(&[b], &[g], pi as u64, i as u64)
+                    })
                 } else {
                     Landscape::from_qaoa(grid, &problem.qaoa_evaluator())
                 };

@@ -23,7 +23,7 @@ fn main() {
     // amplify the shot noise 19x in variance, producing the salt-like
     // jaggedness of Figure 9.
     let spec = device_from_args("zne sim").with_shots(192);
-    let device = spec.build(&problem, 5);
+    let device = spec.build(&problem);
     let grid = Grid2d::small_p1(20, 30);
 
     let set = ZneLandscapes::generate_seeded(&device, grid, 5);

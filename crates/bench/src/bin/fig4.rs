@@ -40,15 +40,11 @@ fn main() {
             let mut per_fraction: Vec<Vec<f64>> = vec![Vec::new(); FRACTIONS.len()];
             for (pi, problem) in problems.iter().enumerate() {
                 let truth = if noisy {
-                    let dev = QpuDevice::new(
-                        "noisy",
-                        problem,
-                        1,
-                        noise,
-                        LatencyModel::instant(),
-                        2000 + pi as u64,
-                    );
-                    Landscape::generate(grid, |b, g| dev.execute(&[b], &[g]))
+                    let dev = QpuDevice::new("noisy", problem, 1, noise, LatencyModel::instant());
+                    let seed = 2000 + pi as u64;
+                    Landscape::generate_indexed_par(grid, |i, b, g| {
+                        dev.execute_at(&[b], &[g], seed, i as u64)
+                    })
                 } else {
                     Landscape::from_qaoa(grid, &problem.qaoa_evaluator())
                 };
@@ -95,18 +91,16 @@ fn main() {
             let mut per_fraction: Vec<Vec<f64>> = vec![Vec::new(); FRACTIONS.len()];
             for (pi, problem) in problems.iter().enumerate() {
                 let values = if noisy {
-                    let dev = QpuDevice::new(
-                        "noisy",
-                        problem,
-                        2,
-                        noise,
-                        LatencyModel::instant(),
-                        5000 + pi as u64,
-                    );
-                    generate_p2_landscape(&grid4, |betas, gammas| dev.execute(betas, gammas))
+                    let dev = QpuDevice::new("noisy", problem, 2, noise, LatencyModel::instant());
+                    let seed = 5000 + pi as u64;
+                    generate_p2_landscape(&grid4, |i, betas, gammas| {
+                        dev.execute_at(betas, gammas, seed, i as u64)
+                    })
                 } else {
                     let eval = problem.qaoa_evaluator();
-                    generate_p2_landscape(&grid4, |betas, gammas| eval.expectation(betas, gammas))
+                    generate_p2_landscape(&grid4, |_, betas, gammas| {
+                        eval.expectation(betas, gammas)
+                    })
                 };
                 for (fi, &frac) in FRACTIONS.iter().enumerate() {
                     let mut rng = seeded(6000 + (pi * 10 + fi) as u64);

@@ -46,7 +46,6 @@ fn main() {
             1,
             NoiseModel::depolarizing(0.001, 0.005),
             LatencyModel::instant(),
-            1,
         );
         let q2 = QpuDevice::new(
             "QPU-2",
@@ -54,9 +53,9 @@ fn main() {
             1,
             NoiseModel::depolarizing(0.003, 0.007),
             LatencyModel::instant(),
-            2,
         );
-        let target = Landscape::generate(grid, |b, g| q1.execute(&[b], &[g]));
+        let target =
+            Landscape::generate_indexed_par(grid, |i, b, g| q1.execute_at(&[b], &[g], 1, i as u64));
 
         // NCM trained on 1% of the grid executed on both devices.
         let mut rng = seeded(8100 + n as u64);
@@ -64,8 +63,8 @@ fn main() {
         let (mut xs, mut ys) = (Vec::new(), Vec::new());
         for &flat in train.indices() {
             let (b, g) = grid.point(flat);
-            xs.push(q2.execute(&[b], &[g]));
-            ys.push(q1.execute(&[b], &[g]));
+            xs.push(q2.execute_at(&[b], &[g], 2, flat as u64));
+            ys.push(q1.execute_at(&[b], &[g], 1, flat as u64));
         }
         let ncm = NoiseCompensationModel::fit(&xs, &ys);
 
@@ -87,7 +86,7 @@ fn main() {
                     }
                 })
                 .collect();
-            let outcomes = execute_split(&[&q1, &q2], &[share, 1.0 - share], &jobs);
+            let outcomes = execute_split(&[&q1, &q2], &[share, 1.0 - share], &jobs, 1);
             let raw: Vec<f64> = outcomes.iter().map(|o| o.value).collect();
             let fixed: Vec<f64> = outcomes
                 .iter()

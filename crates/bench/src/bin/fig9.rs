@@ -17,7 +17,7 @@ fn main() {
     let mut rng = seeded(9900);
     let problem = IsingProblem::random_3_regular(n, &mut rng);
     let spec = device_from_args("zne sim");
-    let device = spec.build(&problem, 3);
+    let device = spec.build(&problem);
     let grid = if full_scale() {
         Grid2d::small_p1(40, 60)
     } else {

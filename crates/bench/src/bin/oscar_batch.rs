@@ -30,9 +30,12 @@
 //! applies to a `submit` — at the request's priority. With
 //! `--connect ADDR` the same requests go to a running `oscar-serve`
 //! daemon (Unix socket path or `host:port`) over the line-delimited
-//! JSON protocol, admission rejects are retried after the server's
-//! `retry_after_ms` hint, and `--compare` verifies each served checksum
-//! against a local `run_job` of the same spec. Both modes print the
+//! JSON protocol. Every request is first checked against the service
+//! caps ([`SubmitReq::check_wire`]), so a batch the daemon would refuse
+//! part-way exits 2 before its first submit; admission rejects are
+//! retried after the server's `retry_after_ms` hint, and `--compare`
+//! verifies each served checksum against a local `run_job` of the same
+//! spec. Both modes print the
 //! [`oscar_serve::result_checksum`] of every job, so the two tables of
 //! one configuration agree line by line. `--drain` asks the daemon to
 //! drain and shut down after the batch; `--metrics` fetches and prints
@@ -444,9 +447,10 @@ fn synthetic_requests(opts: &Options) -> Vec<SubmitReq> {
 /// MaxCut requests. [`SubmitReq::new`] seeds each line's instance and
 /// noise realization from its `seed`, so distinct lines sweep distinct
 /// noise streams deterministically. Each line is checked with
-/// [`SubmitReq::to_spec`] as it is read, so a line that mapping rejects
-/// exits 2 naming `path:line`, in-process and with `--connect` alike.
-fn read_job_file(path: &str) -> Vec<SubmitReq> {
+/// [`SubmitReq::to_spec`] as it is read, and with `wire` also with
+/// [`SubmitReq::check_wire`], so a line that either rejects exits 2
+/// naming `path:line` before anything runs or is submitted.
+fn read_job_file(path: &str, wire: bool) -> Vec<SubmitReq> {
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
         eprintln!("error: cannot read job list '{path}': {e}");
         std::process::exit(2);
@@ -472,7 +476,14 @@ fn read_job_file(path: &str) -> Vec<SubmitReq> {
         };
         let checked = parsed
             .ok_or_else(|| format!("expected `qubits seed rows cols fraction`, got '{line}'"))
-            .and_then(|req| req.to_spec().map(|_| req).map_err(|e| e.message));
+            .and_then(|req| req.to_spec().map(|_| req).map_err(|e| e.message))
+            .and_then(|req| {
+                if wire {
+                    req.check_wire().map(|_| req).map_err(|e| e.message)
+                } else {
+                    Ok(req)
+                }
+            });
         match checked {
             Ok(req) => reqs.push(req),
             Err(message) => {
@@ -499,7 +510,7 @@ fn read_job_file(path: &str) -> Vec<SubmitReq> {
 /// all six optimizers — and given its `--priority`.
 fn requests(opts: &Options) -> Vec<SubmitReq> {
     let jobs = if let Some(path) = &opts.file {
-        read_job_file(path)
+        read_job_file(path, opts.connect.is_some())
     } else if opts.sweeping() {
         let kinds = match opts.problem.as_str() {
             "sweep" => ProblemKind::names().map(problem_kind_or_exit).to_vec(),
@@ -734,6 +745,14 @@ fn main() {
         })
         .collect();
     if opts.connect.is_some() {
+        // The daemon checks each request only as it arrives; check the
+        // whole batch first so a bad request submits nothing.
+        for req in &reqs {
+            if let Err(e) = req.check_wire() {
+                eprintln!("error: {}", e.message);
+                std::process::exit(2);
+            }
+        }
         run_connected(&opts, &reqs, &specs);
     }
 

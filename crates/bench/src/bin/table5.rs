@@ -22,7 +22,8 @@ const MIXES: [(f64, &str); 4] = [
     (1.0, "100%-0%"),
 ];
 
-fn device(name: &str, problem: &IsingProblem, seed: u64) -> QpuDevice {
+/// The device `name` for `problem`, and the noise seed it executes with.
+fn device(name: &str, problem: &IsingProblem, seed: u64) -> (QpuDevice, u64) {
     // Device noise presets live in the shared registry
     // (`oscar_executor::device::DeviceSpec::by_name`), which is also
     // what `oscar-batch --device` resolves against.
@@ -30,7 +31,7 @@ fn device(name: &str, problem: &IsingProblem, seed: u64) -> QpuDevice {
     // Mix the device name into the seed so distinct devices draw distinct
     // shot-noise streams even in the same table position.
     let name_salt: u64 = name.bytes().map(|b| b as u64).sum();
-    spec.build(problem, seed + name_salt * 131)
+    (spec.build(problem), seed + name_salt * 131)
 }
 
 fn main() {
@@ -61,9 +62,11 @@ fn main() {
             .join("")
     );
     for (q1_name, q2_name) in combos {
-        let q1 = device(q1_name, &problem, 11);
-        let q2 = device(q2_name, &problem, 22);
-        let target = Landscape::generate(grid, |b, g| q1.execute(&[b], &[g]));
+        let (q1, s1) = device(q1_name, &problem, 11);
+        let (q2, s2) = device(q2_name, &problem, 22);
+        let target = Landscape::generate_indexed_par(grid, |i, b, g| {
+            q1.execute_at(&[b], &[g], s1, i as u64)
+        });
 
         // NCM training: 1% of the grid on both devices.
         let mut rng = seeded(9100);
@@ -71,8 +74,8 @@ fn main() {
         let (mut xs, mut ys) = (Vec::new(), Vec::new());
         for &flat in train.indices() {
             let (b, g) = grid.point(flat);
-            xs.push(q2.execute(&[b], &[g]));
-            ys.push(q1.execute(&[b], &[g]));
+            xs.push(q2.execute_at(&[b], &[g], s2, flat as u64));
+            ys.push(q1.execute_at(&[b], &[g], s1, flat as u64));
         }
         let ncm = NoiseCompensationModel::fit(&xs, &ys);
 
@@ -91,9 +94,9 @@ fn main() {
                     .map(|(i, &flat)| {
                         let (b, g) = grid.point(flat);
                         if i < split {
-                            q1.execute(&[b], &[g])
+                            q1.execute_at(&[b], &[g], s1, flat as u64)
                         } else {
-                            q2.execute(&[b], &[g])
+                            q2.execute_at(&[b], &[g], s2, flat as u64)
                         }
                     })
                     .collect();

@@ -47,9 +47,10 @@ fn main() {
                     1,
                     NoiseModel::depolarizing(0.003, 0.007),
                     LatencyModel::instant(),
-                    pi as u64,
                 );
-                Landscape::generate(grid, |b, g| dev.execute(&[b], &[g]))
+                Landscape::generate_indexed_par(grid, |i, b, g| {
+                    dev.execute_at(&[b], &[g], pi as u64, i as u64)
+                })
             } else {
                 Landscape::from_qaoa(grid, &problem.qaoa_evaluator())
             };

@@ -136,13 +136,15 @@ impl Reconstructor {
 
     /// Like [`Self::reconstruct_fraction`], but with measured sample values
     /// supplied by a (possibly noisy) execution closure instead of gathered
-    /// from the truth: `measure(beta, gamma)`.
+    /// from the truth: `measure(i, beta, gamma)` for flat point index `i`,
+    /// the key for a per-point counter stream (as in
+    /// [`Landscape::generate_indexed_par`]).
     pub fn reconstruct_fraction_with<R: Rng + ?Sized>(
         &self,
         truth: &Landscape,
         fraction: f64,
         rng: &mut R,
-        mut measure: impl FnMut(f64, f64) -> f64,
+        mut measure: impl FnMut(usize, f64, f64) -> f64,
     ) -> ReconstructionReport {
         let grid = truth.grid();
         let pattern = SamplePattern::random(grid.rows(), grid.cols(), fraction, rng);
@@ -151,7 +153,7 @@ impl Reconstructor {
             .iter()
             .map(|&i| {
                 let (b, g) = grid.point(i);
-                measure(b, g)
+                measure(i, b, g)
             })
             .collect();
         self.report_from_samples(truth, pattern, &samples)
@@ -330,7 +332,7 @@ mod tests {
         };
         let eval = eval_problem.qaoa_evaluator();
         let a = oscar.reconstruct_fraction(&truth, 0.2, &mut rng1);
-        let b = oscar.reconstruct_fraction_with(&truth, 0.2, &mut rng2, |beta, gamma| {
+        let b = oscar.reconstruct_fraction_with(&truth, 0.2, &mut rng2, |_, beta, gamma| {
             eval.expectation(&[beta], &[gamma])
         });
         assert!((a.nrmse - b.nrmse).abs() < 1e-9);
@@ -360,12 +362,9 @@ mod tests {
         let iqr = truth.iqr();
         let mut noise_rng = StdRng::seed_from_u64(77);
         use rand::Rng;
-        let noisy = oscar.reconstruct_fraction_with(&truth, 0.2, &mut rng, |b, g| {
-            // Look up the true value and perturb it slightly.
-            let grid = truth.grid();
-            let r = ((b - grid.beta.lo) / grid.beta.step()).round() as usize;
-            let c = ((g - grid.gamma.lo) / grid.gamma.step()).round() as usize;
-            truth.at(r, c) + noise_rng.gen_range(-0.02..0.02) * iqr
+        let noisy = oscar.reconstruct_fraction_with(&truth, 0.2, &mut rng, |i, _, _| {
+            // Perturb the true value slightly.
+            truth.values()[i] + noise_rng.gen_range(-0.02..0.02) * iqr
         });
         assert!(noisy.nrmse >= clean.nrmse * 0.5, "sanity");
         assert!(noisy.nrmse < 0.15, "noisy NRMSE {}", noisy.nrmse);

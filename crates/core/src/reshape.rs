@@ -63,10 +63,12 @@ pub fn reshaped_coords(
 /// Generates a 4-D p=2 QAOA landscape and returns it in the reshaped 2-D
 /// layout, ready for reconstruction.
 ///
-/// `f(betas, gammas)` receives 2-element slices.
+/// `f(i, betas, gammas)` receives the point's flat [`index_4d`] and
+/// 2-element angle slices; the index is the key for a per-point counter
+/// stream.
 pub fn generate_p2_landscape(
     grid: &crate::grid::Grid4d,
-    mut f: impl FnMut(&[f64], &[f64]) -> f64,
+    mut f: impl FnMut(usize, &[f64], &[f64]) -> f64,
 ) -> Vec<f64> {
     let nb = grid.beta.n;
     let ng = grid.gamma.n;
@@ -76,7 +78,8 @@ pub fn generate_p2_landscape(
             for g1 in 0..ng {
                 for g2 in 0..ng {
                     let (bv1, bv2, gv1, gv2) = grid.point(b1, b2, g1, g2);
-                    out[index_4d(b1, b2, g1, g2, nb, ng)] = f(&[bv1, bv2], &[gv1, gv2]);
+                    let i = index_4d(b1, b2, g1, g2, nb, ng);
+                    out[i] = f(i, &[bv1, bv2], &[gv1, gv2]);
                 }
             }
         }
@@ -117,18 +120,20 @@ mod tests {
     fn generate_p2_evaluates_all_points() {
         let grid = Grid4d::small_p2(3, 3);
         let mut calls = 0usize;
-        let v = generate_p2_landscape(&grid, |_, _| {
+        let v = generate_p2_landscape(&grid, |i, _, _| {
             calls += 1;
-            calls as f64
+            i as f64
         });
-        assert_eq!(v.len(), 81);
         assert_eq!(calls, 81);
+        // Each point's value lands at the index it was handed.
+        let expect: Vec<f64> = (0..81).map(|i| i as f64).collect();
+        assert_eq!(v, expect);
     }
 
     #[test]
     fn generate_p2_orders_parameters() {
         let grid = Grid4d::small_p2(2, 2);
-        let v = generate_p2_landscape(&grid, |betas, gammas| {
+        let v = generate_p2_landscape(&grid, |_, betas, gammas| {
             betas[0] * 1000.0 + betas[1] * 100.0 + gammas[0] * 10.0 + gammas[1]
         });
         // First entry uses all-lo values; last all-hi.

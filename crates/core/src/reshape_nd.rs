@@ -121,7 +121,7 @@ mod tests {
             2,
         );
         let f = |b: &[f64], g: &[f64]| b[0] + 2.0 * b[1] + 3.0 * g[0] + 4.0 * g[1];
-        let via_p2 = generate_p2_landscape(&grid4, f);
+        let via_p2 = generate_p2_landscape(&grid4, |_, b, g| f(b, g));
         let via_nd = gnd.generate(f);
         assert_eq!(via_p2.len(), via_nd.len());
         for (a, b) in via_p2.iter().zip(&via_nd) {

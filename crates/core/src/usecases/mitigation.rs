@@ -74,30 +74,10 @@ pub struct ZneLandscapes {
 impl ZneLandscapes {
     /// Generates all four landscapes on `grid` by executing the device at
     /// every grid point (the expensive ground-truth path OSCAR avoids).
-    pub fn generate(device: &QpuDevice, grid: Grid2d) -> Self {
-        let richardson_cfg = ZneConfig::richardson_123();
-        let linear_cfg = ZneConfig::linear_13();
-        let ideal = Landscape::from_qaoa(grid, device.evaluator());
-        let unmitigated = Landscape::generate(grid, |b, g| device.execute_scaled(&[b], &[g], 1.0));
-        let richardson = Landscape::generate(grid, |b, g| {
-            richardson_cfg.extrapolate(&mut |c| device.execute_scaled(&[b], &[g], c))
-        });
-        let linear = Landscape::generate(grid, |b, g| {
-            linear_cfg.extrapolate(&mut |c| device.execute_scaled(&[b], &[g], c))
-        });
-        ZneLandscapes {
-            ideal,
-            unmitigated,
-            richardson,
-            linear,
-        }
-    }
-
-    /// Like [`Self::generate`], but with deterministic counter-based
-    /// noise keyed by `landscape_seed`: the result is a pure function
-    /// of `(device, grid, landscape_seed)`, bit-identical across runs,
-    /// worker counts, and evaluation orders (the device's internal
-    /// order-dependent RNG stream is bypassed).
+    /// Noise is drawn from counter streams keyed by `landscape_seed` and
+    /// the flat point index, so the result is a pure function of
+    /// `(device, grid, landscape_seed)`, bit-identical across runs,
+    /// worker counts and evaluation orders.
     ///
     /// One moments pass ([`MomentsTable::qaoa`]) feeds the ideal
     /// landscape and all three noise-scale factors. The batch runtime's
@@ -182,7 +162,7 @@ mod tests {
         if let Some(s) = shots {
             noise = noise.with_shots(s);
         }
-        QpuDevice::new("zne-dev", &problem, 1, noise, LatencyModel::instant(), 0)
+        QpuDevice::new("zne-dev", &problem, 1, noise, LatencyModel::instant())
     }
 
     #[test]
@@ -191,7 +171,7 @@ mod tests {
         // ideal landscape than the unmitigated one.
         let dev = device(None);
         let grid = Grid2d::small_p1(10, 12);
-        let set = ZneLandscapes::generate(&dev, grid);
+        let set = ZneLandscapes::generate_seeded(&dev, grid, 0);
         let err = |l: &Landscape| crate::metrics::nrmse(set.ideal.values(), l.values());
         let raw = err(&set.unmitigated);
         let rich = err(&set.richardson);
@@ -206,7 +186,7 @@ mod tests {
         // salt-like jaggedness; linear stays smooth.
         let dev = device(Some(1024));
         let grid = Grid2d::small_p1(12, 14);
-        let set = ZneLandscapes::generate(&dev, grid);
+        let set = ZneLandscapes::generate_seeded(&dev, grid, 0);
         let m = set.metrics();
         assert!(
             m.richardson.second_derivative > 2.0 * m.linear.second_derivative,
@@ -303,7 +283,7 @@ mod tests {
     fn reconstruction_preserves_roughness_ordering() {
         let dev = device(Some(1024));
         let grid = Grid2d::small_p1(12, 14);
-        let set = ZneLandscapes::generate(&dev, grid);
+        let set = ZneLandscapes::generate_seeded(&dev, grid, 0);
         let mut rng = StdRng::seed_from_u64(3);
         let rm = set.reconstructed_metrics(&Reconstructor::default(), 0.3, &mut rng);
         assert!(

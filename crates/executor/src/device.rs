@@ -18,9 +18,7 @@ use oscar_qsim::fingerprint::{tag, Fingerprint};
 use oscar_qsim::noise::ReadoutError;
 use oscar_qsim::qaoa::QaoaEvaluator;
 use oscar_qsim::rng::CounterRng;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use std::sync::Mutex;
+use rand::Rng;
 
 /// Every device name [`DeviceSpec::by_name`] can resolve. The entries
 /// are the paper's device/simulator lineup (Table 5): ideal and noisy
@@ -144,17 +142,14 @@ impl DeviceSpec {
         h.finish()
     }
 
-    /// Builds the live device for `problem` (instant latency, internal
-    /// RNG seeded with `seed`; the deterministic
-    /// [`QpuDevice::execute_at`] path ignores that internal stream).
-    pub fn build(&self, problem: &IsingProblem, seed: u64) -> QpuDevice {
+    /// Builds the live device for `problem`, with instant latency.
+    pub fn build(&self, problem: &IsingProblem) -> QpuDevice {
         QpuDevice::new(
             &self.name,
             problem,
             self.p,
             self.noise,
             LatencyModel::instant(),
-            seed,
         )
     }
 
@@ -197,8 +192,10 @@ impl NoiseStep {
 
 /// A simulated quantum processing unit executing QAOA circuits.
 ///
-/// Thread-safe: `execute` may be called concurrently from the parallel
-/// executor (the internal RNG is mutex-protected).
+/// A device holds no mutable state: every execution draws its noise from
+/// a [`CounterRng`] keyed by a caller-chosen `(seed, stream)` pair, so a
+/// value is a pure function of its angles and key, and one device may be
+/// shared by any number of threads.
 ///
 /// # Examples
 ///
@@ -211,8 +208,8 @@ impl NoiseStep {
 ///
 /// let mut rng = rand::rngs::StdRng::seed_from_u64(1);
 /// let problem = IsingProblem::random_3_regular(8, &mut rng);
-/// let qpu = QpuDevice::new("sim", &problem, 1, NoiseModel::ideal(), LatencyModel::instant(), 0);
-/// let e = qpu.execute(&[0.2], &[0.5]);
+/// let qpu = QpuDevice::new("sim", &problem, 1, NoiseModel::ideal(), LatencyModel::instant());
+/// let e = qpu.execute_at(&[0.2], &[0.5], 0, 0);
 /// assert!(e <= 0.0);
 /// ```
 #[derive(Debug)]
@@ -221,7 +218,6 @@ pub struct QpuDevice {
     step: NoiseStep,
     latency: LatencyModel,
     evaluator: QaoaEvaluator,
-    rng: Mutex<StdRng>,
 }
 
 impl QpuDevice {
@@ -236,7 +232,6 @@ impl QpuDevice {
         p: usize,
         noise: NoiseModel,
         latency: LatencyModel,
-        seed: u64,
     ) -> Self {
         let evaluator = problem.qaoa_evaluator();
         QpuDevice {
@@ -248,7 +243,6 @@ impl QpuDevice {
             },
             latency,
             evaluator,
-            rng: Mutex::new(StdRng::seed_from_u64(seed)),
         }
     }
 
@@ -290,67 +284,23 @@ impl QpuDevice {
         self.step
     }
 
-    /// Executes the QAOA circuit at the given angles, returning the noisy
-    /// expectation value under this device's noise configuration.
-    pub fn execute(&self, betas: &[f64], gammas: &[f64]) -> f64 {
-        self.execute_scaled(betas, gammas, 1.0)
-    }
-
-    /// Executes with the noise amplified by `scale` (ZNE noise scaling via
-    /// gate folding: the folded circuit has `scale`x the gates).
-    pub fn execute_scaled(&self, betas: &[f64], gammas: &[f64], scale: f64) -> f64 {
-        let moments = self.moments(betas, gammas);
-        self.step.apply(moments, scale, &mut *self.lock_rng())
-    }
-
-    /// Executes with noise drawn from a caller-provided generator instead
-    /// of the device's internal mutex-guarded stream.
-    ///
-    /// The internal stream makes a point's value depend on how many
-    /// executions happened before it — order-dependent and therefore
-    /// useless for results that must be reproducible under concurrency.
-    /// This path leaves ordering to the caller: pass an RNG derived from
-    /// the draw site (see [`Self::execute_at`]) and the value is a pure
-    /// function of `(angles, rng state)`.
-    pub fn execute_with_rng<R: Rng + ?Sized>(
-        &self,
-        betas: &[f64],
-        gammas: &[f64],
-        rng: &mut R,
-    ) -> f64 {
-        self.execute_scaled_with_rng(betas, gammas, 1.0, rng)
-    }
-
-    /// Deterministic noisy execution: noise is drawn from a
-    /// [`CounterRng`] keyed by `(seed, stream)`, so the returned value is
-    /// a pure function of `(angles, seed, stream)` — identical no matter
-    /// how many other executions ran before it, on how many threads.
+    /// Noisy execution: noise is drawn from a [`CounterRng`] keyed by
+    /// `(seed, stream)`, so the returned value is a pure function of
+    /// `(angles, seed, stream)` — identical no matter how many other
+    /// executions ran before it, on how many threads.
     ///
     /// Callers evaluating a landscape pass the experiment seed and the
     /// flat grid-point index as the stream.
     pub fn execute_at(&self, betas: &[f64], gammas: &[f64], seed: u64, stream: u64) -> f64 {
-        self.execute_with_rng(betas, gammas, &mut CounterRng::new(seed, stream))
+        self.execute_scaled_at(betas, gammas, 1.0, seed, stream)
     }
 
-    /// Noise-scaled execution with a caller-provided generator — the
-    /// ZNE analogue of [`Self::execute_with_rng`]: the depolarizing
-    /// rates are amplified by `scale` (gate folding), while noise draws
-    /// come from `rng` instead of the order-dependent internal stream.
-    pub fn execute_scaled_with_rng<R: Rng + ?Sized>(
-        &self,
-        betas: &[f64],
-        gammas: &[f64],
-        scale: f64,
-        rng: &mut R,
-    ) -> f64 {
-        self.step.apply(self.moments(betas, gammas), scale, rng)
-    }
-
-    /// Deterministic noise-scaled execution: [`Self::execute_at`] at ZNE
-    /// noise scale `scale`. A pure function of `(angles, scale, seed,
-    /// stream)`; at `scale = 1.0` it is bit-identical to
-    /// [`Self::execute_at`], so an unscaled landscape and a ZNE
-    /// factor-1 landscape built from the same seed are the same values.
+    /// Noise-scaled execution: [`Self::execute_at`] with the
+    /// depolarizing rates amplified by `scale` (ZNE gate folding). A pure
+    /// function of `(angles, scale, seed, stream)`; at `scale = 1.0` it
+    /// is bit-identical to [`Self::execute_at`], so an unscaled landscape
+    /// and a ZNE factor-1 landscape built from the same seed are the same
+    /// values.
     pub fn execute_scaled_at(
         &self,
         betas: &[f64],
@@ -359,35 +309,9 @@ impl QpuDevice {
         seed: u64,
         stream: u64,
     ) -> f64 {
-        self.execute_scaled_with_rng(betas, gammas, scale, &mut CounterRng::new(seed, stream))
-    }
-
-    /// Executes and also samples the simulated job latency (queue +
-    /// execution), in simulated seconds.
-    pub fn execute_timed(&self, betas: &[f64], gammas: &[f64]) -> (f64, f64) {
-        let value = self.execute(betas, gammas);
-        let mut rng = self.lock_rng();
-        let latency = self.latency.sample(&mut *rng);
-        (value, latency)
-    }
-
-    /// Locks the device RNG, tolerating poisoning (a panicked worker must
-    /// not wedge every later execution).
-    fn lock_rng(&self) -> std::sync::MutexGuard<'_, StdRng> {
-        self.rng.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Executes with zero-noise extrapolation: measures at each of the
-    /// config's noise scales (via gate folding) and extrapolates to zero.
-    ///
-    /// Costs `zne.cost_multiplier()` circuit executions per call.
-    pub fn execute_zne(
-        &self,
-        zne: &oscar_mitigation::zne::ZneConfig,
-        betas: &[f64],
-        gammas: &[f64],
-    ) -> f64 {
-        zne.extrapolate(&mut |c| self.execute_scaled(betas, gammas, c))
+        let moments = self.moments(betas, gammas);
+        self.step
+            .apply(moments, scale, &mut CounterRng::new(seed, stream))
     }
 }
 
@@ -401,9 +325,8 @@ impl QpuDevice {
 /// the molecule's reference ansatz and the mixed-state mean fixed by the
 /// Hamiltonian's identity component (Pauli terms are traceless).
 ///
-/// Only the deterministic counter-RNG execution paths are offered: VQE
-/// landscapes are always generated through the reproducible-by-index
-/// discipline, so there is no internal sequential stream to misuse.
+/// Like [`QpuDevice`], it holds no mutable state: noise comes from a
+/// [`CounterRng`] keyed by `(seed, stream)`.
 #[derive(Debug)]
 pub struct VqeDevice {
     name: String,
@@ -457,17 +380,6 @@ impl VqeDevice {
         self.step
     }
 
-    /// Noise-scaled execution with a caller-provided generator — the
-    /// VQE analogue of [`QpuDevice::execute_scaled_with_rng`].
-    pub fn execute_scaled_with_rng<R: Rng + ?Sized>(
-        &self,
-        params: &[f64],
-        scale: f64,
-        rng: &mut R,
-    ) -> f64 {
-        self.step.apply(self.moments(params), scale, rng)
-    }
-
     /// Deterministic noisy execution keyed by `(seed, stream)`: the VQE
     /// analogue of [`QpuDevice::execute_at`] — a pure function of
     /// `(params, seed, stream)` regardless of execution order or thread
@@ -480,7 +392,11 @@ impl VqeDevice {
     /// noise scale `scale`; bit-identical to `execute_at` at
     /// `scale = 1.0`.
     pub fn execute_scaled_at(&self, params: &[f64], scale: f64, seed: u64, stream: u64) -> f64 {
-        self.execute_scaled_with_rng(params, scale, &mut CounterRng::new(seed, stream))
+        self.step.apply(
+            self.moments(params),
+            scale,
+            &mut CounterRng::new(seed, stream),
+        )
     }
 }
 
@@ -488,6 +404,8 @@ impl VqeDevice {
 mod tests {
     use super::*;
     use oscar_qsim::noise::ReadoutError;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     fn problem() -> IsingProblem {
         let mut rng = StdRng::seed_from_u64(5);
@@ -497,25 +415,18 @@ mod tests {
     #[test]
     fn ideal_device_matches_evaluator() {
         let p = problem();
-        let qpu = QpuDevice::new(
-            "ideal",
-            &p,
-            1,
-            NoiseModel::ideal(),
-            LatencyModel::instant(),
-            0,
-        );
+        let qpu = QpuDevice::new("ideal", &p, 1, NoiseModel::ideal(), LatencyModel::instant());
         let direct = p.qaoa_evaluator().expectation(&[0.3], &[0.7]);
-        assert!((qpu.execute(&[0.3], &[0.7]) - direct).abs() < 1e-12);
+        assert!((qpu.execute_at(&[0.3], &[0.7], 0, 0) - direct).abs() < 1e-12);
     }
 
     #[test]
     fn noisy_device_biases_toward_mixed() {
         let p = problem();
         let noise = NoiseModel::depolarizing(0.003, 0.007);
-        let qpu = QpuDevice::new("noisy", &p, 1, noise, LatencyModel::instant(), 0);
+        let qpu = QpuDevice::new("noisy", &p, 1, noise, LatencyModel::instant());
         let ideal = p.qaoa_evaluator().expectation(&[-0.2], &[0.6]);
-        let noisy = qpu.execute(&[-0.2], &[0.6]);
+        let noisy = qpu.execute_at(&[-0.2], &[0.6], 0, 0);
         let mixed = p.qaoa_evaluator().diagonal_mean();
         // noisy lies strictly between ideal and mixed.
         let lo = ideal.min(mixed);
@@ -532,7 +443,6 @@ mod tests {
             1,
             NoiseModel::depolarizing(0.001, 0.005),
             LatencyModel::instant(),
-            0,
         );
         let q2 = QpuDevice::new(
             "qpu2",
@@ -540,10 +450,9 @@ mod tests {
             1,
             NoiseModel::depolarizing(0.003, 0.007),
             LatencyModel::instant(),
-            0,
         );
-        let e1 = q1.execute(&[0.25], &[0.5]);
-        let e2 = q2.execute(&[0.25], &[0.5]);
+        let e1 = q1.execute_at(&[0.25], &[0.5], 0, 0);
+        let e2 = q2.execute_at(&[0.25], &[0.5], 0, 0);
         assert!(
             (e1 - e2).abs() > 1e-4,
             "devices should differ: {e1} vs {e2}"
@@ -551,23 +460,13 @@ mod tests {
     }
 
     #[test]
-    fn shot_noise_varies_between_calls() {
-        let p = problem();
-        let noise = NoiseModel::ideal().with_shots(256);
-        let qpu = QpuDevice::new("shots", &p, 1, noise, LatencyModel::instant(), 3);
-        let a = qpu.execute(&[0.1], &[0.1]);
-        let b = qpu.execute(&[0.1], &[0.1]);
-        assert_ne!(a, b);
-    }
-
-    #[test]
     fn scaled_execution_damps_more() {
         let p = problem();
         let noise = NoiseModel::depolarizing(0.002, 0.006);
-        let qpu = QpuDevice::new("zne", &p, 1, noise, LatencyModel::instant(), 0);
+        let qpu = QpuDevice::new("zne", &p, 1, noise, LatencyModel::instant());
         let mixed = p.qaoa_evaluator().diagonal_mean();
-        let e1 = qpu.execute_scaled(&[0.2], &[0.6], 1.0);
-        let e3 = qpu.execute_scaled(&[0.2], &[0.6], 3.0);
+        let e1 = qpu.execute_scaled_at(&[0.2], &[0.6], 1.0, 0, 0);
+        let e3 = qpu.execute_scaled_at(&[0.2], &[0.6], 3.0, 0, 0);
         assert!(
             (e3 - mixed).abs() < (e1 - mixed).abs(),
             "scale-3 should be closer to mixed: {e1} vs {e3} (mixed {mixed})"
@@ -578,9 +477,9 @@ mod tests {
     fn readout_noise_applies() {
         let p = problem();
         let noise = NoiseModel::ideal().with_readout(ReadoutError::new(0.05, 0.05));
-        let qpu = QpuDevice::new("ro", &p, 1, noise, LatencyModel::instant(), 0);
+        let qpu = QpuDevice::new("ro", &p, 1, noise, LatencyModel::instant());
         let ideal = p.qaoa_evaluator().expectation(&[0.2], &[0.6]);
-        let noisy = qpu.execute(&[0.2], &[0.6]);
+        let noisy = qpu.execute_at(&[0.2], &[0.6], 0, 0);
         assert!((noisy - ideal).abs() > 1e-6);
     }
 
@@ -589,10 +488,11 @@ mod tests {
         use oscar_mitigation::zne::ZneConfig;
         let p = problem();
         let noise = NoiseModel::depolarizing(0.002, 0.006);
-        let qpu = QpuDevice::new("zne2", &p, 1, noise, LatencyModel::instant(), 0);
+        let qpu = QpuDevice::new("zne2", &p, 1, noise, LatencyModel::instant());
         let ideal = p.qaoa_evaluator().expectation(&[0.25], &[0.55]);
-        let raw = qpu.execute(&[0.25], &[0.55]);
-        let mitigated = qpu.execute_zne(&ZneConfig::richardson_123(), &[0.25], &[0.55]);
+        let raw = qpu.execute_at(&[0.25], &[0.55], 0, 0);
+        let mitigated = ZneConfig::richardson_123()
+            .extrapolate(&mut |c| qpu.execute_scaled_at(&[0.25], &[0.55], c, 0, 0));
         assert!(
             (mitigated - ideal).abs() < (raw - ideal).abs(),
             "ZNE {mitigated} should beat raw {raw} (ideal {ideal})"
@@ -603,12 +503,10 @@ mod tests {
     fn execute_at_is_order_independent() {
         let p = problem();
         let noise = NoiseModel::depolarizing(0.002, 0.006).with_shots(512);
-        let qpu = QpuDevice::new("det", &p, 1, noise, LatencyModel::instant(), 0);
+        let qpu = QpuDevice::new("det", &p, 1, noise, LatencyModel::instant());
         let reference = qpu.execute_at(&[0.2], &[0.6], 7, 3);
-        // Burn the internal stream and hit other (seed, stream) pairs:
-        // the deterministic path must not care.
+        // Executions at other (seed, stream) pairs must not matter.
         for k in 0..10 {
-            let _ = qpu.execute(&[0.1], &[0.1]);
             let _ = qpu.execute_at(&[0.2], &[0.6], 7, 100 + k);
         }
         assert_eq!(
@@ -624,7 +522,7 @@ mod tests {
     fn scaled_at_matches_execute_at_at_unit_scale() {
         let p = problem();
         let noise = NoiseModel::depolarizing(0.002, 0.006).with_shots(512);
-        let qpu = QpuDevice::new("det-zne", &p, 1, noise, LatencyModel::instant(), 0);
+        let qpu = QpuDevice::new("det-zne", &p, 1, noise, LatencyModel::instant());
         assert_eq!(
             qpu.execute_scaled_at(&[0.2], &[0.6], 1.0, 7, 3).to_bits(),
             qpu.execute_at(&[0.2], &[0.6], 7, 3).to_bits()
@@ -653,7 +551,7 @@ mod tests {
         for name in KNOWN_DEVICES {
             let spec = DeviceSpec::by_name(name).unwrap_or_else(|| panic!("missing {name}"));
             assert_eq!(spec.name, name);
-            let qpu = spec.build(&problem(), 0);
+            let qpu = spec.build(&problem());
             assert!(qpu.execute_at(&[0.2], &[0.5], 1, 0).is_finite());
         }
         assert!(DeviceSpec::by_name("ibm osaka").is_none());
@@ -727,28 +625,13 @@ mod tests {
         // Same angles, more gates -> closer to the mixed value.
         let p = problem();
         let mixed = p.qaoa_evaluator().diagonal_mean();
-        let q1 = base.build(&p, 0);
-        let q2 = deep.build(&p, 0);
+        let q1 = base.build(&p);
+        let q2 = deep.build(&p);
         let e1 = q1.execute_at(&[0.2, 0.0], &[0.5, 0.0], 1, 0);
         let e2 = q2.execute_at(&[0.2, 0.0], &[0.5, 0.0], 1, 0);
         assert!(
             (e2 - mixed).abs() < (e1 - mixed).abs(),
             "depth-2 should damp harder: {e1} vs {e2} (mixed {mixed})"
         );
-    }
-
-    #[test]
-    fn timed_execution_reports_latency() {
-        let p = problem();
-        let qpu = QpuDevice::new(
-            "timed",
-            &p,
-            1,
-            NoiseModel::ideal(),
-            LatencyModel::cloud_queue(),
-            1,
-        );
-        let (_, t) = qpu.execute_timed(&[0.1], &[0.2]);
-        assert!(t > 0.0);
     }
 }

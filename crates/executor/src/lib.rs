@@ -26,14 +26,18 @@
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(1);
 //! let problem = IsingProblem::random_3_regular(6, &mut rng);
 //! let qpu1 = QpuDevice::new("qpu-1", &problem, 1,
-//!     NoiseModel::depolarizing(0.001, 0.005), LatencyModel::instant(), 0);
+//!     NoiseModel::depolarizing(0.001, 0.005), LatencyModel::instant());
 //! let qpu2 = QpuDevice::new("qpu-2", &problem, 1,
-//!     NoiseModel::depolarizing(0.003, 0.007), LatencyModel::instant(), 1);
+//!     NoiseModel::depolarizing(0.003, 0.007), LatencyModel::instant());
 //! let jobs: Vec<Job> = (0..10).map(|i| Job {
 //!     index: i, betas: vec![0.05 * i as f64], gammas: vec![0.1 * i as f64],
 //! }).collect();
-//! let outcomes = execute_split(&[&qpu1, &qpu2], &[0.5, 0.5], &jobs);
+//! let seed = 42;
+//! let outcomes = execute_split(&[&qpu1, &qpu2], &[0.5, 0.5], &jobs, seed);
 //! assert_eq!(outcomes.len(), 10);
+//! // Each value is the device's execution keyed by (seed, job index).
+//! let last = &outcomes[9];
+//! assert_eq!(last.value, qpu2.execute_at(&jobs[9].betas, &jobs[9].gammas, seed, 9));
 //! ```
 
 #![warn(missing_docs)]

@@ -7,8 +7,18 @@
 //! device's latency model, and supports eager reconstruction: dropping
 //! straggler samples past a soft timeout (paper §5.2) instead of waiting
 //! out the tail.
+//!
+//! Every draw is keyed by the caller's seed and the job's index: a job's
+//! value is `device.execute_at(betas, gammas, seed, index)` and its
+//! latency comes from a counter stream of its own, so outcomes do not
+//! depend on thread scheduling.
 
 use crate::device::QpuDevice;
+use oscar_qsim::rng::{derive_seed, CounterRng};
+
+/// The [`derive_seed`] tag that separates the latency streams from the
+/// noise streams of the same seed.
+const LATENCY_TAG: u64 = u64::from_le_bytes(*b"latency\0");
 
 /// One landscape point to evaluate: QAOA angles.
 #[derive(Clone, Debug, PartialEq)]
@@ -37,7 +47,8 @@ pub struct Outcome {
 }
 
 /// Splits `jobs` across devices according to `shares` and executes each
-/// device's queue on its own thread.
+/// device's queue on its own thread, with every draw keyed by `seed` and
+/// the job's index (see the module docs).
 ///
 /// `shares[d]` is the fraction of jobs assigned to device `d`; they must
 /// sum to ~1. Jobs are assigned in order: device 0 takes the first
@@ -56,7 +67,12 @@ pub struct Outcome {
 ///
 /// Panics if `devices` is empty, shares length mismatches, shares are
 /// negative, or they do not sum to 1 (within 1e-6).
-pub fn execute_split(devices: &[&QpuDevice], shares: &[f64], jobs: &[Job]) -> Vec<Outcome> {
+pub fn execute_split(
+    devices: &[&QpuDevice],
+    shares: &[f64],
+    jobs: &[Job],
+    seed: u64,
+) -> Vec<Outcome> {
     assert!(!devices.is_empty(), "need at least one device");
     assert_eq!(devices.len(), shares.len(), "one share per device");
     assert!(
@@ -67,21 +83,11 @@ pub fn execute_split(devices: &[&QpuDevice], shares: &[f64], jobs: &[Job]) -> Ve
     assert!((total - 1.0).abs() < 1e-6, "shares must sum to 1");
 
     let boundaries = split_boundaries(shares, jobs.len());
-    let mut results: Vec<Vec<Outcome>> = Vec::new();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for (d, device) in devices.iter().enumerate() {
-            let chunk = &jobs[boundaries[d]..boundaries[d + 1]];
-            handles.push(scope.spawn(move || run_device_queue(device, d, chunk)));
-        }
-        for h in handles {
-            results.push(h.join().expect("device thread panicked"));
-        }
-    });
-
-    let mut flat: Vec<Outcome> = results.into_iter().flatten().collect();
-    flat.sort_by_key(|o| o.index);
-    flat
+    let queues = boundaries
+        .windows(2)
+        .map(|w| jobs[w[0]..w[1]].iter().collect())
+        .collect();
+    run_queues(devices, queues, seed)
 }
 
 /// Contiguous chunk boundaries for `n` jobs under `shares`, apportioned
@@ -119,37 +125,53 @@ pub fn split_boundaries(shares: &[f64], n: usize) -> Vec<usize> {
 
 /// Round-robin variant: job `i` goes to device `i % k`. Balances load when
 /// devices are interchangeable.
-pub fn execute_round_robin(devices: &[&QpuDevice], jobs: &[Job]) -> Vec<Outcome> {
+pub fn execute_round_robin(devices: &[&QpuDevice], jobs: &[Job], seed: u64) -> Vec<Outcome> {
     assert!(!devices.is_empty(), "need at least one device");
     let k = devices.len();
-    let chunks: Vec<Vec<Job>> = (0..k)
-        .map(|d| jobs.iter().skip(d).step_by(k).cloned().collect::<Vec<_>>())
+    let queues = (0..k)
+        .map(|d| jobs.iter().skip(d).step_by(k).collect())
         .collect();
-    let mut results: Vec<Vec<Outcome>> = Vec::new();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for (d, device) in devices.iter().enumerate() {
-            let chunk = &chunks[d];
-            handles.push(scope.spawn(move || run_device_queue(device, d, chunk)));
-        }
-        for h in handles {
-            results.push(h.join().expect("device thread panicked"));
-        }
+    run_queues(devices, queues, seed)
+}
+
+/// Executes queue `d` on device `d`, one thread per device, and returns
+/// every outcome in job-index order.
+fn run_queues(devices: &[&QpuDevice], queues: Vec<Vec<&Job>>, seed: u64) -> Vec<Outcome> {
+    let mut flat: Vec<Outcome> = std::thread::scope(|scope| {
+        let handles: Vec<_> = devices
+            .iter()
+            .zip(&queues)
+            .enumerate()
+            .map(|(d, (device, queue))| {
+                scope.spawn(move || run_device_queue(device, d, queue, seed))
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("device thread panicked"))
+            .collect()
     });
-    let mut flat: Vec<Outcome> = results.into_iter().flatten().collect();
     flat.sort_by_key(|o| o.index);
     flat
 }
 
-fn run_device_queue(device: &QpuDevice, device_idx: usize, jobs: &[Job]) -> Vec<Outcome> {
+fn run_device_queue(
+    device: &QpuDevice,
+    device_idx: usize,
+    jobs: &[&Job],
+    seed: u64,
+) -> Vec<Outcome> {
+    let latency_seed = derive_seed(seed, LATENCY_TAG);
     let mut clock = 0.0;
     jobs.iter()
         .map(|job| {
-            let (value, latency) = device.execute_timed(&job.betas, &job.gammas);
-            clock += latency;
+            let stream = job.index as u64;
+            clock += device
+                .latency()
+                .sample(&mut CounterRng::new(latency_seed, stream));
             Outcome {
                 index: job.index,
-                value,
+                value: device.execute_at(&job.betas, &job.gammas, seed, stream),
                 device: device_idx,
                 completion_time: clock,
             }
@@ -208,10 +230,10 @@ mod tests {
     #[test]
     fn split_covers_all_jobs_once() {
         let p = problem();
-        let d1 = QpuDevice::new("a", &p, 1, NoiseModel::ideal(), LatencyModel::instant(), 0);
-        let d2 = QpuDevice::new("b", &p, 1, NoiseModel::ideal(), LatencyModel::instant(), 1);
+        let d1 = QpuDevice::new("a", &p, 1, NoiseModel::ideal(), LatencyModel::instant());
+        let d2 = QpuDevice::new("b", &p, 1, NoiseModel::ideal(), LatencyModel::instant());
         let jobs = make_jobs(20);
-        let out = execute_split(&[&d1, &d2], &[0.3, 0.7], &jobs);
+        let out = execute_split(&[&d1, &d2], &[0.3, 0.7], &jobs, 0);
         assert_eq!(out.len(), 20);
         let indices: Vec<usize> = out.iter().map(|o| o.index).collect();
         assert_eq!(indices, (0..20).collect::<Vec<_>>());
@@ -222,9 +244,9 @@ mod tests {
     #[test]
     fn ideal_devices_reproduce_evaluator_values() {
         let p = problem();
-        let d = QpuDevice::new("a", &p, 1, NoiseModel::ideal(), LatencyModel::instant(), 0);
+        let d = QpuDevice::new("a", &p, 1, NoiseModel::ideal(), LatencyModel::instant());
         let jobs = make_jobs(5);
-        let out = execute_round_robin(&[&d], &jobs);
+        let out = execute_round_robin(&[&d], &jobs, 0);
         let eval = p.qaoa_evaluator();
         for o in &out {
             let expect = eval.expectation(&jobs[o.index].betas, &jobs[o.index].gammas);
@@ -235,16 +257,9 @@ mod tests {
     #[test]
     fn completion_times_monotone_per_device() {
         let p = problem();
-        let d = QpuDevice::new(
-            "a",
-            &p,
-            1,
-            NoiseModel::ideal(),
-            LatencyModel::cloud_queue(),
-            7,
-        );
+        let d = QpuDevice::new("a", &p, 1, NoiseModel::ideal(), LatencyModel::cloud_queue());
         let jobs = make_jobs(10);
-        let out = execute_round_robin(&[&d], &jobs);
+        let out = execute_round_robin(&[&d], &jobs, 7);
         let times: Vec<f64> = out.iter().map(|o| o.completion_time).collect();
         for w in times.windows(2) {
             assert!(w[1] > w[0]);
@@ -255,11 +270,11 @@ mod tests {
     fn parallel_makespan_shorter_than_serial() {
         let p = problem();
         let lat = LatencyModel::new(1.0, f64::NEG_INFINITY, 0.0); // 1 s per job
-        let d1 = QpuDevice::new("a", &p, 1, NoiseModel::ideal(), lat, 0);
-        let d2 = QpuDevice::new("b", &p, 1, NoiseModel::ideal(), lat, 1);
+        let d1 = QpuDevice::new("a", &p, 1, NoiseModel::ideal(), lat);
+        let d2 = QpuDevice::new("b", &p, 1, NoiseModel::ideal(), lat);
         let jobs = make_jobs(10);
-        let serial = makespan(&execute_round_robin(&[&d1], &jobs));
-        let parallel = makespan(&execute_round_robin(&[&d1, &d2], &jobs));
+        let serial = makespan(&execute_round_robin(&[&d1], &jobs, 0));
+        let parallel = makespan(&execute_round_robin(&[&d1, &d2], &jobs, 0));
         assert!((serial - 10.0).abs() < 1e-9);
         assert!((parallel - 5.0).abs() < 1e-9);
     }
@@ -267,16 +282,9 @@ mod tests {
     #[test]
     fn timeout_filter_drops_stragglers() {
         let p = problem();
-        let d = QpuDevice::new(
-            "a",
-            &p,
-            1,
-            NoiseModel::ideal(),
-            LatencyModel::cloud_queue(),
-            3,
-        );
+        let d = QpuDevice::new("a", &p, 1, NoiseModel::ideal(), LatencyModel::cloud_queue());
         let jobs = make_jobs(50);
-        let out = execute_round_robin(&[&d], &jobs);
+        let out = execute_round_robin(&[&d], &jobs, 3);
         let total = makespan(&out);
         let kept = within_timeout(&out, total * 0.5);
         assert!(!kept.is_empty() && kept.len() < out.len());
@@ -305,7 +313,7 @@ mod tests {
     #[should_panic(expected = "shares must sum to 1")]
     fn rejects_bad_shares() {
         let p = problem();
-        let d = QpuDevice::new("a", &p, 1, NoiseModel::ideal(), LatencyModel::instant(), 0);
-        let _ = execute_split(&[&d], &[0.5], &make_jobs(2));
+        let d = QpuDevice::new("a", &p, 1, NoiseModel::ideal(), LatencyModel::instant());
+        let _ = execute_split(&[&d], &[0.5], &make_jobs(2), 0);
     }
 }

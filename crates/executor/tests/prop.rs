@@ -25,18 +25,31 @@ fn jobs(count: usize) -> Vec<Job> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Every job is returned exactly once for any valid share split.
+    /// Every job is returned exactly once for any valid share split; its
+    /// value is its device's execution keyed by `(seed, job index)`, bit
+    /// for bit; and a second run gives identical outcomes, completion
+    /// times included.
     #[test]
-    fn split_is_a_partition(share in 0.0f64..1.0, n_jobs in 1usize..40) {
+    fn split_is_a_partition(share in 0.0f64..1.0, n_jobs in 1usize..40, seed in 0u64..1000) {
         let p = small_problem(1);
-        let d1 = QpuDevice::new("a", &p, 1, NoiseModel::ideal(), LatencyModel::instant(), 0);
-        let d2 = QpuDevice::new("b", &p, 1, NoiseModel::ideal(), LatencyModel::instant(), 1);
+        let noise = NoiseModel::ideal().with_shots(256);
+        let d1 = QpuDevice::new("a", &p, 1, noise, LatencyModel::cloud_queue());
+        let d2 = QpuDevice::new("b", &p, 1, noise, LatencyModel::cloud_queue());
+        let devices = [&d1, &d2];
         let js = jobs(n_jobs);
-        let out = execute_split(&[&d1, &d2], &[share, 1.0 - share], &js);
+        let out = execute_split(&devices, &[share, 1.0 - share], &js, seed);
         prop_assert_eq!(out.len(), n_jobs);
         let mut indices: Vec<usize> = out.iter().map(|o| o.index).collect();
         indices.dedup();
         prop_assert_eq!(indices, (0..n_jobs).collect::<Vec<_>>());
+        for o in &out {
+            let job = &js[o.index];
+            let expect = devices[o.device].execute_at(&job.betas, &job.gammas, seed, o.index as u64);
+            prop_assert_eq!(o.value.to_bits(), expect.to_bits());
+        }
+        let again = execute_split(&devices, &[share, 1.0 - share], &js, seed);
+        let bits = |o: &Outcome| (o.index, o.device, o.value.to_bits(), o.completion_time.to_bits());
+        prop_assert_eq!(out.iter().map(bits).collect::<Vec<_>>(), again.iter().map(bits).collect::<Vec<_>>());
     }
 
     /// The timeout filter keeps exactly the outcomes within the deadline
@@ -44,8 +57,8 @@ proptest! {
     #[test]
     fn timeout_filter_monotone(n_jobs in 2usize..30, t1 in 0.1f64..0.6, t2 in 0.6f64..1.0) {
         let p = small_problem(2);
-        let d = QpuDevice::new("a", &p, 1, NoiseModel::ideal(), LatencyModel::cloud_queue(), 5);
-        let out = execute_round_robin(&[&d], &jobs(n_jobs));
+        let d = QpuDevice::new("a", &p, 1, NoiseModel::ideal(), LatencyModel::cloud_queue());
+        let out = execute_round_robin(&[&d], &jobs(n_jobs), 5);
         let total = makespan(&out);
         let kept1 = within_timeout(&out, total * t1);
         let kept2 = within_timeout(&out, total * t2);

@@ -4,7 +4,7 @@
 //! | rule | invariant | origin |
 //! |------|-----------|--------|
 //! | `wall-clock` | no `Instant::now`/`SystemTime::now` in result-affecting code | PR 7 |
-//! | `shared-rng` | no ambient RNG (`thread_rng`, `rand::random`) | PR 4 |
+//! | `shared-rng` | no ambient RNG (`thread_rng`, `rand::random`), no RNG behind a lock or cell (`Mutex`/`RwLock`/`RefCell<…Rng>`) | PR 4 |
 //! | `map-iteration` | no `HashMap`/`HashSet` iteration in result paths | PR 4 |
 //! | `no-panic` | no `unwrap`/`expect`/`panic!`/`todo!` in serve/runtime | PR 6 |
 //! | `float-sort` | `total_cmp`, never `partial_cmp`, in sort/min/max | PR 3 |
@@ -69,7 +69,7 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         id: "shared-rng",
-        summary: "no ambient RNG (thread_rng/random) in result-affecting code",
+        summary: "no ambient or lock/cell-held RNG in result-affecting code",
     },
     RuleInfo {
         id: "map-iteration",
@@ -238,28 +238,64 @@ fn wall_clock(class: &FileClass, fa: &FileAnalysis, out: &mut Vec<Diagnostic>) {
     }
 }
 
-/// Ambient RNG. PR 4 invariant: result paths draw noise from
+/// Containers that make a generator shared, order-dependent state.
+const RNG_HOLDERS: &[&str] = &["Mutex", "RwLock", "RefCell"];
+
+/// Ambient or shared RNG. PR 4 invariant: result paths draw noise from
 /// counter-based streams keyed by (seed, index), never from shared or
-/// thread-local generator state.
+/// thread-local generator state — neither an ambient generator nor one
+/// held behind a lock or cell (`Mutex<StdRng>`), whose draws depend on
+/// how many came before.
 fn shared_rng(class: &FileClass, fa: &FileAnalysis, out: &mut Vec<Diagnostic>) {
     for ci in 0..fa.code.len() {
         if fa.code_in_test(ci) {
             continue;
         }
-        if fa.is_ident(ci, "thread_rng")
+        let what = if fa.is_ident(ci, "thread_rng")
             || (fa.is_ident(ci, "rand") && fa.is_path_sep(ci + 1) && fa.is_ident(ci + 3, "random"))
         {
-            out.push(diag(
-                class,
-                fa,
-                ci,
-                "shared-rng",
-                "ambient RNG in result-affecting code; use a CounterRng keyed by \
+            "ambient RNG"
+        } else if RNG_HOLDERS.iter().any(|h| fa.is_ident(ci, h)) && holds_rng(fa, ci + 1) {
+            "RNG behind a lock or cell"
+        } else {
+            continue;
+        };
+        out.push(diag(
+            class,
+            fa,
+            ci,
+            "shared-rng",
+            format!(
+                "{what} in result-affecting code; use a CounterRng keyed by \
                  (seed, index) so results are independent of evaluation order"
-                    .to_owned(),
-            ));
+            ),
+        ));
+    }
+}
+
+/// Whether a generic argument list opens at code token `open` and names
+/// a random generator type (an identifier containing `Rng`) before it
+/// closes.
+fn holds_rng(fa: &FileAnalysis, open: usize) -> bool {
+    if !fa.is_punct(open, '<') {
+        return false;
+    }
+    let mut depth = 0usize;
+    for ci in open..fa.code.len() {
+        if fa.is_punct(ci, '<') {
+            depth += 1;
+        } else if fa.is_punct(ci, '>') && !fa.is_punct(ci - 1, '-') {
+            depth -= 1;
+            if depth == 0 {
+                return false;
+            }
+        } else if fa.code_tok(ci).kind == TokenKind::Ident && fa.code_text(ci).contains("Rng") {
+            return true;
+        } else if fa.is_punct(ci, ';') || fa.is_punct(ci, '{') {
+            return false;
         }
     }
+    false
 }
 
 /// Methods whose call on a std hash container walks it in arbitrary

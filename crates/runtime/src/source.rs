@@ -14,9 +14,7 @@
 //! the stream — the same discipline on 2-D grids and N-D tensors — so
 //! the landscape is bit-identical no matter how the worker pool
 //! interleaves points or how many executors run jobs — the property
-//! the batch cache and the `--compare` harness rely on. (The QPU
-//! device's internal mutex-guarded RNG stream, by contrast, is
-//! execution-order-dependent and is not used here.)
+//! the batch cache and the `--compare` harness rely on.
 
 use oscar_core::grid::Shape;
 use oscar_core::landscape::ShapedLandscape;
@@ -200,10 +198,7 @@ impl LandscapeSource {
                 match device {
                     None => MomentsTable::qaoa(&problem.qaoa_evaluator(), None, shape),
                     Some(spec) => {
-                        // The internal-RNG seed is irrelevant: every point
-                        // draws from its own counter stream keyed by the
-                        // (derived) landscape seed and the flat point index.
-                        let qpu = spec.build(problem, 0);
+                        let qpu = spec.build(problem);
                         MomentsTable::qaoa(qpu.evaluator(), Some(qpu.noise_step()), shape)
                     }
                 }

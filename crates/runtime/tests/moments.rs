@@ -54,7 +54,7 @@ fn per_point(problem: &ProblemInstance, shape: &Shape, spec: &DeviceSpec, scale:
                 Shape::Grid2d(_) => spec.clone(),
                 Shape::Tensor(_) => spec.clone().with_depth(*depth),
             };
-            let qpu = spec.build(problem, 0);
+            let qpu = spec.build(problem);
             (0..shape.len())
                 .map(|i| {
                     let x = shape.point(i);

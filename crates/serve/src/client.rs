@@ -124,19 +124,8 @@ impl Client {
     /// request fails with [`ErrorKind::InvalidInput`] before anything
     /// is written.
     pub fn submit(&mut self, req: &SubmitReq) -> std::io::Result<Json> {
-        const MAX_EXACT: u64 = 1 << 53;
-        for (name, seed) in [
-            ("seed", req.seed),
-            ("instance_seed", req.instance_seed),
-            ("landscape_seed", req.landscape_seed),
-        ] {
-            if seed > MAX_EXACT {
-                return Err(Error::new(
-                    ErrorKind::InvalidInput,
-                    format!("'{name}' {seed} is above 2^53, the largest integer the wire carries exactly"),
-                ));
-            }
-        }
+        req.check_wire_seeds()
+            .map_err(|e| Error::new(ErrorKind::InvalidInput, e.message))?;
         self.request(&req.to_json())
     }
 

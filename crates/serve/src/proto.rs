@@ -254,7 +254,6 @@ impl SubmitReq {
                     "'depth' applies only to QAOA problems ('maxcut', 'sk')",
                 ))
             }
-            Some(0) => return Err(RequestError::bad("'depth' must be at least 1")),
             Some(d) => d as usize,
         };
         let shape = match obj.get("shape") {
@@ -263,9 +262,9 @@ impl SubmitReq {
                 let arr = v
                     .as_arr()
                     .ok_or_else(|| RequestError::bad("'shape' must be an array of axis sizes"))?;
-                if arr.is_empty() || arr.len() > MAX_SHAPE_RANK {
+                if arr.len() > MAX_SHAPE_RANK {
                     return Err(RequestError::bad(format!(
-                        "'shape' must have 1..={MAX_SHAPE_RANK} axes"
+                        "'shape' must have at most {MAX_SHAPE_RANK} axes"
                     )));
                 }
                 let mut counts = Vec::with_capacity(arr.len());
@@ -274,9 +273,9 @@ impl SubmitReq {
                     let n = entry.as_u64().ok_or_else(|| {
                         RequestError::bad("'shape' entries must be non-negative integers")
                     })? as usize;
-                    if !(2..=MAX_GRID_SIDE).contains(&n) {
+                    if n > MAX_GRID_SIDE {
                         return Err(RequestError::bad(format!(
-                            "'shape' axes must be in 2..={MAX_GRID_SIDE}"
+                            "'shape' axes must be at most {MAX_GRID_SIDE}"
                         )));
                     }
                     points = points.saturating_mul(n);
@@ -290,6 +289,7 @@ impl SubmitReq {
                 Some(counts)
             }
         };
+        check_shape(problem, depth, shape.as_deref())?;
         let (qubits, rows, cols) = match problem {
             ProblemKind::Molecule(m) => {
                 // The molecule fixes the register and parameter count;
@@ -298,15 +298,6 @@ impl SubmitReq {
                     if !matches!(obj.get(field), None | Some(Json::Null)) {
                         return Err(RequestError::bad(format!(
                             "'{field}' does not apply to molecular problems"
-                        )));
-                    }
-                }
-                if let Some(counts) = &shape {
-                    if counts.len() != m.num_params() {
-                        return Err(RequestError::bad(format!(
-                            "'shape' for '{}' needs {} axes (one per ansatz parameter)",
-                            m.name(),
-                            m.num_params()
                         )));
                     }
                 }
@@ -320,11 +311,6 @@ impl SubmitReq {
                     )));
                 }
                 if depth == 1 {
-                    if shape.is_some() {
-                        return Err(RequestError::bad(
-                            "'shape' needs 'depth' >= 2; depth-1 QAOA uses 'rows'/'cols'",
-                        ));
-                    }
                     let rows = req_u64(obj, "rows")? as usize;
                     let cols = req_u64(obj, "cols")? as usize;
                     for (name, v) in [("rows", rows), ("cols", cols)] {
@@ -342,20 +328,6 @@ impl SubmitReq {
                                 "'{field}' is a depth-1 field; depth >= 2 QAOA uses 'shape'"
                             )));
                         }
-                    }
-                    match &shape {
-                        None => {
-                            return Err(RequestError::bad(
-                                "depth >= 2 QAOA needs 'shape' (2 * depth axes, betas first)",
-                            ))
-                        }
-                        Some(counts) if counts.len() != 2 * depth => {
-                            return Err(RequestError::bad(format!(
-                                "'shape' for depth {depth} needs {} axes (betas then gammas)",
-                                2 * depth
-                            )))
-                        }
-                        Some(_) => {}
                     }
                     (qubits, 0, 0)
                 }
@@ -509,14 +481,17 @@ impl SubmitReq {
     /// the same request.
     ///
     /// Besides an infeasible instance or an unknown device, it rejects
-    /// a fraction outside `(0, 1]` and a `rows`/`cols` side below 2, which
-    /// [`Self::from_json`] already rules out on the wire but a request
-    /// built in code can carry. The service caps ([`MAX_QUBITS`],
-    /// [`MAX_GRID_SIDE`], [`MAX_SHAPE_POINTS`]) apply on the wire only.
+    /// a fraction outside `(0, 1]`, a `rows`/`cols` side below 2 and a
+    /// malformed `depth`/`shape` pair (the structural checks
+    /// [`Self::from_json`] runs too), which a request built in code can
+    /// carry. The service caps ([`MAX_QUBITS`], [`MAX_GRID_SIDE`],
+    /// [`MAX_SHAPE_RANK`], [`MAX_SHAPE_POINTS`], seeds the wire carries
+    /// exactly) apply on the wire only; [`Self::check_wire`] tests them.
     pub fn to_spec(&self) -> Result<JobSpec, RequestError> {
         if !(self.fraction > 0.0 && self.fraction <= 1.0) {
             return Err(RequestError::bad("'fraction' must be in (0, 1]"));
         }
+        check_shape(self.problem, self.depth, self.shape.as_deref())?;
         let (instance, shape) = match self.problem {
             ProblemKind::MaxCut | ProblemKind::SkModel => {
                 let mut rng = StdRng::seed_from_u64(self.instance_seed);
@@ -561,6 +536,82 @@ impl SubmitReq {
             .with_mitigation(self.mitigation.clone())
             .with_descent(self.descent))
     }
+
+    /// Rejects a `seed`, `instance_seed` or `landscape_seed` above 2^53:
+    /// wire numbers are f64, exact for integers up to 2^53 only, so such
+    /// a seed would reach the daemon as a different one.
+    pub(crate) fn check_wire_seeds(&self) -> Result<(), RequestError> {
+        const MAX_EXACT: u64 = 1 << 53;
+        for (name, seed) in [
+            ("seed", self.seed),
+            ("instance_seed", self.instance_seed),
+            ("landscape_seed", self.landscape_seed),
+        ] {
+            if seed > MAX_EXACT {
+                return Err(RequestError::bad(format!(
+                    "'{name}' {seed} is above 2^53, the largest integer the wire carries exactly"
+                )));
+            }
+        }
+        Ok(())
+    }
+
+    /// The checks the service adds to [`Self::to_spec`]: seeds the wire
+    /// carries exactly (as [`crate::Client::submit`] checks), then the
+    /// daemon's own parse of the line it sends, which applies the service
+    /// caps. A client can run it on a whole batch before the first
+    /// submit.
+    pub fn check_wire(&self) -> Result<(), RequestError> {
+        self.check_wire_seeds()?;
+        SubmitReq::from_json(&self.to_json()).map(|_| ())
+    }
+}
+
+/// The structural `depth`/`shape` checks of a request, run by both
+/// [`SubmitReq::from_json`] and [`SubmitReq::to_spec`]: QAOA depth is
+/// at least 1; depth-1 QAOA has no `shape` (it uses `rows`/`cols`);
+/// depth-`p` QAOA (p ≥ 2) has `2 * p` axes, betas first; a molecule's
+/// `shape`, if any, has one axis per ansatz parameter; and every axis
+/// has at least 2 points.
+fn check_shape(
+    problem: ProblemKind,
+    depth: usize,
+    shape: Option<&[usize]>,
+) -> Result<(), RequestError> {
+    match (problem, shape) {
+        (ProblemKind::Molecule(m), Some(counts)) if counts.len() != m.num_params() => {
+            return Err(RequestError::bad(format!(
+                "'shape' for '{}' needs {} axes (one per ansatz parameter)",
+                m.name(),
+                m.num_params()
+            )))
+        }
+        (ProblemKind::Molecule(_), _) => {}
+        _ if depth == 0 => return Err(RequestError::bad("'depth' must be at least 1")),
+        (_, Some(_)) if depth == 1 => {
+            return Err(RequestError::bad(
+                "'shape' needs 'depth' >= 2; depth-1 QAOA uses 'rows'/'cols'",
+            ))
+        }
+        (_, None) if depth > 1 => {
+            return Err(RequestError::bad(
+                "depth >= 2 QAOA needs 'shape' (2 * depth axes, betas first)",
+            ))
+        }
+        (_, Some(counts)) if depth > 1 && counts.len() != 2 * depth => {
+            return Err(RequestError::bad(format!(
+                "'shape' for depth {depth} needs {} axes (betas then gammas)",
+                2 * depth
+            )))
+        }
+        _ => {}
+    }
+    if shape.is_some_and(|counts| counts.iter().any(|&n| n < 2)) {
+        return Err(RequestError::bad(
+            "'shape' axes must have at least 2 points",
+        ));
+    }
+    Ok(())
 }
 
 /// A parsed request line.
@@ -1016,6 +1067,70 @@ mod tests {
             assert_eq!(err.code, ErrorCode::BadRequest, "{why}: {}", err.message);
         }
         assert!(SubmitReq::new(8, 1, 2, 2, 1.0).to_spec().is_ok());
+    }
+
+    #[test]
+    fn to_spec_rejects_shapes_a_job_cannot_run() {
+        let h2_with_two_axes = SubmitReq {
+            shape: Some(vec![4, 4]),
+            ..SubmitReq::vqe(Molecule::H2, 1, 0.3)
+        };
+        for (req, why) in [
+            (
+                SubmitReq::deep_qaoa(ProblemKind::MaxCut, 6, 2, 1, vec![4, 4], 0.3),
+                "depth 2 with two axes",
+            ),
+            (
+                SubmitReq::deep_qaoa(ProblemKind::MaxCut, 6, 2, 1, vec![4, 1, 4, 4], 0.3),
+                "an axis of 1",
+            ),
+            (h2_with_two_axes, "H2 with two axes"),
+            (
+                SubmitReq::deep_qaoa(ProblemKind::MaxCut, 6, 0, 1, vec![4, 4], 0.3),
+                "depth 0",
+            ),
+            (
+                SubmitReq::deep_qaoa(ProblemKind::SkModel, 6, 1, 1, vec![4, 4], 0.3),
+                "shape at depth 1",
+            ),
+            (
+                SubmitReq::deep_qaoa(ProblemKind::MaxCut, 6, 2, 1, vec![], 0.3),
+                "empty shape",
+            ),
+        ] {
+            let err = req.to_spec().map(|_| ()).unwrap_err();
+            assert_eq!(err.code, ErrorCode::BadRequest, "{why}: {}", err.message);
+            // The wire parse rejects the same request.
+            assert!(
+                SubmitReq::from_json(&req.to_json()).is_err(),
+                "{why}: the wire accepted it"
+            );
+        }
+    }
+
+    #[test]
+    fn check_wire_applies_the_service_caps_to_requests_built_in_code() {
+        // In-process mapping accepts these; the service does not.
+        let big = SubmitReq::new(18, 1, 10, 10, 0.3);
+        let wide = SubmitReq::new(8, 1, 10, MAX_GRID_SIDE + 1, 0.3);
+        let far_seed = SubmitReq::new(8, (1 << 53) + 1, 10, 10, 0.3);
+        let shots_alone = SubmitReq {
+            shots: Some(64),
+            ..SubmitReq::new(8, 1, 10, 10, 0.3)
+        };
+        for (req, why) in [
+            (big, "18 qubits"),
+            (wide, "a side over the cap"),
+            (far_seed, "a seed above 2^53"),
+            (shots_alone, "shots without a device"),
+        ] {
+            assert!(req.to_spec().is_ok(), "{why}: to_spec should accept it");
+            let err = req.check_wire().unwrap_err();
+            assert_eq!(err.code, ErrorCode::BadRequest, "{why}: {}", err.message);
+        }
+        let at_the_limits = SubmitReq::new(MAX_QUBITS, 1 << 53, MAX_GRID_SIDE, 2, 0.3);
+        assert!(at_the_limits.check_wire().is_ok());
+        assert!(SubmitReq::vqe(Molecule::LiH, 3, 0.2).check_wire().is_ok());
     }
 
     #[test]

@@ -23,7 +23,7 @@ fn main() {
     // Figure 9's setting: depolarizing noise (1q 0.001, 2q 0.02) with
     // finite shots so extrapolation-amplified shot noise is visible.
     let noise = NoiseModel::depolarizing(0.001, 0.02).with_shots(2048);
-    let device = QpuDevice::new("noisy-qpu", &problem, 1, noise, LatencyModel::instant(), 1);
+    let device = QpuDevice::new("noisy-qpu", &problem, 1, noise, LatencyModel::instant());
 
     let grid = Grid2d::small_p1(20, 28);
     println!(
@@ -31,7 +31,7 @@ fn main() {
         grid.rows(),
         grid.cols()
     );
-    let set = ZneLandscapes::generate(&device, grid);
+    let set = ZneLandscapes::generate_seeded(&device, grid, 1);
 
     let original = set.metrics();
     let mut rng = rand::rngs::StdRng::seed_from_u64(8);

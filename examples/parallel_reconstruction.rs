@@ -28,7 +28,6 @@ fn main() {
         1,
         NoiseModel::depolarizing(0.001, 0.005),
         LatencyModel::cloud_queue(),
-        1,
     );
     let qpu2 = QpuDevice::new(
         "qpu-2",
@@ -36,12 +35,14 @@ fn main() {
         1,
         NoiseModel::depolarizing(0.003, 0.007),
         LatencyModel::cloud_queue(),
-        2,
     );
 
+    // Every execution draws its noise from a counter stream keyed by a
+    // seed and the point index: QPU-1 uses seed 1, QPU-2 seed 2.
     let grid = Grid2d::small_p1(30, 40);
     // Target landscape: what QPU-1 alone would produce.
-    let target = Landscape::generate(grid, |b, g| qpu1.execute(&[b], &[g]));
+    let target =
+        Landscape::generate_indexed_par(grid, |i, b, g| qpu1.execute_at(&[b], &[g], 1, i as u64));
 
     // Sample 10% of the grid, half on each QPU.
     let pattern = SamplePattern::random(grid.rows(), grid.cols(), 0.10, &mut rng);
@@ -58,7 +59,7 @@ fn main() {
             }
         })
         .collect();
-    let outcomes = execute_split(&[&qpu1, &qpu2], &[0.5, 0.5], &jobs);
+    let outcomes = execute_split(&[&qpu1, &qpu2], &[0.5, 0.5], &jobs, 1);
     println!(
         "collected {} samples across 2 QPUs, simulated makespan {:.1} s",
         outcomes.len(),
@@ -70,8 +71,8 @@ fn main() {
     let (mut xs, mut ys) = (Vec::new(), Vec::new());
     for &flat in train.indices() {
         let (b, g) = grid.point(flat);
-        xs.push(qpu2.execute(&[b], &[g]));
-        ys.push(qpu1.execute(&[b], &[g]));
+        xs.push(qpu2.execute_at(&[b], &[g], 2, flat as u64));
+        ys.push(qpu1.execute_at(&[b], &[g], 1, flat as u64));
     }
     let ncm = NoiseCompensationModel::fit(&xs, &ys);
     println!(

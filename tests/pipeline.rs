@@ -343,9 +343,10 @@ fn noisy_pipeline_still_reconstructs() {
     // from noisy samples against the *noisy* ground truth.
     let p = problem(10, 3);
     let noise = NoiseModel::depolarizing(0.003, 0.007);
-    let dev = QpuDevice::new("noisy", &p, 1, noise, LatencyModel::instant(), 0);
+    let dev = QpuDevice::new("noisy", &p, 1, noise, LatencyModel::instant());
     let grid = Grid2d::small_p1(25, 40);
-    let noisy_truth = Landscape::generate(grid, |b, g| dev.execute(&[b], &[g]));
+    let noisy_truth =
+        Landscape::generate_indexed_par(grid, |i, b, g| dev.execute_at(&[b], &[g], 0, i as u64));
     let mut rng = StdRng::seed_from_u64(4);
     let report = Reconstructor::default().reconstruct_fraction(&noisy_truth, 0.08, &mut rng);
     // Paper Figure 4(b) reports ~0.1 at this noise level; allow a little
@@ -365,13 +366,14 @@ fn reconstruction_error_grows_with_noise_but_stays_bounded() {
         1,
         NoiseModel::ideal().with_shots(4096),
         LatencyModel::instant(),
-        7,
     );
     let mut rng = StdRng::seed_from_u64(6);
-    let report =
-        Reconstructor::default().reconstruct_fraction_with(&ideal_truth, 0.15, &mut rng, |b, g| {
-            dev.execute(&[b], &[g])
-        });
+    let report = Reconstructor::default().reconstruct_fraction_with(
+        &ideal_truth,
+        0.15,
+        &mut rng,
+        |i, b, g| dev.execute_at(&[b], &[g], 7, i as u64),
+    );
     let mut rng = StdRng::seed_from_u64(6);
     let clean = Reconstructor::default().reconstruct_fraction(&ideal_truth, 0.15, &mut rng);
     assert!(report.nrmse >= clean.nrmse, "shot noise should not help");
@@ -388,7 +390,6 @@ fn multi_qpu_ncm_beats_uncompensated() {
         1,
         NoiseModel::depolarizing(0.001, 0.005),
         LatencyModel::instant(),
-        0,
     );
     let q2 = QpuDevice::new(
         "qpu2",
@@ -396,10 +397,10 @@ fn multi_qpu_ncm_beats_uncompensated() {
         1,
         NoiseModel::depolarizing(0.003, 0.007),
         LatencyModel::instant(),
-        1,
     );
     let grid = Grid2d::small_p1(20, 30);
-    let target = Landscape::generate(grid, |b, g| q1.execute(&[b], &[g]));
+    let target =
+        Landscape::generate_indexed_par(grid, |i, b, g| q1.execute_at(&[b], &[g], 0, i as u64));
 
     let mut rng = StdRng::seed_from_u64(8);
     let pattern = SamplePattern::random(grid.rows(), grid.cols(), 0.12, &mut rng);
@@ -416,15 +417,15 @@ fn multi_qpu_ncm_beats_uncompensated() {
             }
         })
         .collect();
-    let outcomes = execute_split(&[&q1, &q2], &[0.5, 0.5], &jobs);
+    let outcomes = execute_split(&[&q1, &q2], &[0.5, 0.5], &jobs, 0);
 
     // NCM trained on 1% of the grid.
     let train = SamplePattern::random(grid.rows(), grid.cols(), 0.02, &mut rng);
     let (mut xs, mut ys) = (Vec::new(), Vec::new());
     for &flat in train.indices() {
         let (b, g) = grid.point(flat);
-        xs.push(q2.execute(&[b], &[g]));
-        ys.push(q1.execute(&[b], &[g]));
+        xs.push(q2.execute_at(&[b], &[g], 1, flat as u64));
+        ys.push(q1.execute_at(&[b], &[g], 0, flat as u64));
     }
     let ncm = NoiseCompensationModel::fit(&xs, &ys);
 
@@ -519,7 +520,6 @@ fn eager_reconstruction_trades_little_accuracy() {
         1,
         NoiseModel::ideal(),
         LatencyModel::cloud_queue(),
-        5,
     );
     let grid = Grid2d::small_p1(20, 30);
     let truth = Landscape::from_qaoa(grid, &p.qaoa_evaluator());
@@ -538,7 +538,7 @@ fn eager_reconstruction_trades_little_accuracy() {
             }
         })
         .collect();
-    let outcomes = execute_round_robin(&[&dev], &jobs);
+    let outcomes = execute_round_robin(&[&dev], &jobs, 5);
 
     let oscar = Reconstructor::default();
     let full_vals: Vec<f64> = outcomes.iter().map(|o| o.value).collect();
@@ -571,7 +571,7 @@ fn p2_reshaped_reconstruction_works() {
     let p = problem(8, 15);
     let eval = p.qaoa_evaluator();
     let grid4 = Grid4d::small_p2(8, 10);
-    let values = generate_p2_landscape(&grid4, |betas, gammas| eval.expectation(betas, gammas));
+    let values = generate_p2_landscape(&grid4, |_, betas, gammas| eval.expectation(betas, gammas));
     let (rows, cols) = grid4.reshaped_dims();
 
     let mut rng = StdRng::seed_from_u64(16);
